@@ -180,25 +180,18 @@ def test_large_workflow_loads(benchmark):
 
 # ---------------------------------------------------------------- smoke --
 # The smoke benchmark drives the real ingest entry point (load_file) over
-# a rendered BP log, sweeping the parse-pipeline configurations:
+# a rendered BP log with each parse mode:
 #
-#   baseline     workers=0, strict parser  — the legacy single-thread path
-#   workers-0    workers=0, fast parser    — micro-optimized, inline
-#   workers-N    N parse threads, fast parser
+#   strict   the reference char-by-char BP scanner — the baseline
+#   fast     the tokenizer tiers with strict fallback — the default
 #
-# and reports events/second + flush-latency percentiles per (config,
-# backend), plus each config's speedup over the baseline.  The committed
+# and reports events/second + flush-latency percentiles per (parse mode,
+# backend), plus fast's speedup over strict.  The committed
 # BENCH_loader.json at the repo root is this benchmark's output on the
-# reference container; CI re-runs the sweep and gates on the speedups
-# (and optionally on regression vs the committed numbers).
+# reference container; CI re-runs it and gates on the speedups (and
+# optionally on regression vs the committed numbers).
 
-SMOKE_CONFIGS = [
-    {"name": "baseline", "workers": 0, "parse_mode": "strict"},
-    {"name": "workers-0", "workers": 0, "parse_mode": "fast"},
-    {"name": "workers-1", "workers": 1, "parse_mode": "fast"},
-    {"name": "workers-2", "workers": 2, "parse_mode": "fast"},
-    {"name": "workers-4", "workers": 4, "parse_mode": "fast"},
-]
+SMOKE_CONFIGS = ["strict", "fast"]
 
 
 def _write_bp(events, path) -> int:
@@ -209,7 +202,7 @@ def _write_bp(events, path) -> int:
 
 
 def _smoke_one(
-    bp_path, n_events: int, batch_size: int, conn_string: str, config: dict
+    bp_path, n_events: int, batch_size: int, conn_string: str, parse_mode: str
 ) -> dict:
     loader = StampedeLoader(
         StampedeArchive.open(conn_string), batch_size=batch_size
@@ -220,19 +213,14 @@ def _smoke_one(
     gc.disable()
     try:
         start = time.perf_counter()
-        load_file(
-            str(bp_path),
-            loader,
-            workers=config["workers"],
-            parse_mode=config["parse_mode"],
-        )
+        load_file(str(bp_path), loader, parse_mode=parse_mode)
         elapsed = time.perf_counter() - start
     finally:
         gc.enable()
     stats = loader.stats
     loader.archive.close()
     assert stats.events_processed == n_events, (
-        f"{config['name']}: processed {stats.events_processed} != {n_events}"
+        f"{parse_mode}: processed {stats.events_processed} != {n_events}"
     )
     return {
         "events": stats.events_processed,
@@ -248,8 +236,8 @@ def _smoke_one(
 
 
 def smoke(n_ruptures: int = 10, batch_size: int = 500, runs: int = 2) -> dict:
-    """Reduced-scale ingest sweep over parse-pipeline configs and both
-    sqlite backends; speedups are each config vs the strict baseline.
+    """Reduced-scale ingest run per parse mode over both sqlite
+    backends; the speedup is ``fast`` vs the ``strict`` baseline.
 
     Measurement is **interleaved**: every round measures every config
     back to back, and a config's speedup is its best per-round ratio
@@ -269,34 +257,29 @@ def smoke(n_ruptures: int = 10, batch_size: int = 500, runs: int = 2) -> dict:
         "configs": {},
         "speedups": {},
     }
-    rounds = {
-        config["name"]: {"memory": [], "file": []} for config in SMOKE_CONFIGS
-    }
+    rounds = {name: {"memory": [], "file": []} for name in SMOKE_CONFIGS}
     with tempfile.TemporaryDirectory() as tmp:
         bp_path = Path(tmp) / "smoke.bp"
         n_events = _write_bp(events, bp_path)
         fresh = itertools.count()
         for _round in range(runs):
-            for config in SMOKE_CONFIGS:
-                rounds[config["name"]]["memory"].append(
+            for name in SMOKE_CONFIGS:
+                rounds[name]["memory"].append(
                     _smoke_one(
-                        bp_path, n_events, batch_size, "sqlite:///:memory:", config
+                        bp_path, n_events, batch_size, "sqlite:///:memory:", name
                     )
                 )
-                rounds[config["name"]]["file"].append(
+                rounds[name]["file"].append(
                     _smoke_one(
                         bp_path,
                         n_events,
                         batch_size,
                         f"sqlite:///{Path(tmp) / f'smoke-{next(fresh)}.db'}",
-                        config,
+                        name,
                     )
                 )
-    for config in SMOKE_CONFIGS:
-        name = config["name"]
+    for name in SMOKE_CONFIGS:
         results["configs"][name] = {
-            "workers": config["workers"],
-            "parse_mode": config["parse_mode"],
             "memory": max(
                 rounds[name]["memory"], key=lambda r: r["events_per_second"]
             ),
@@ -306,7 +289,7 @@ def smoke(n_ruptures: int = 10, batch_size: int = 500, runs: int = 2) -> dict:
         }
     for backend in ("memory", "file"):
         base_rounds = [
-            r["events_per_second"] for r in rounds["baseline"][backend]
+            r["events_per_second"] for r in rounds["strict"][backend]
         ]
         results["speedups"][backend] = {
             name: round(
@@ -324,23 +307,23 @@ def smoke(n_ruptures: int = 10, batch_size: int = 500, runs: int = 2) -> dict:
 def _check_gates(results: dict, args) -> list:
     """Return a list of failure strings (empty = all gates pass)."""
     failures = []
-    file_eps = results["configs"]["workers-4"]["file"]["events_per_second"]
+    file_eps = results["configs"]["fast"]["file"]["events_per_second"]
     if file_eps < args.min_eps:
         failures.append(
             f"file-backend throughput below smoke floor "
             f"({file_eps:,.0f} < {args.min_eps:,.0f} events/s)"
         )
-    mem_speedup = results["speedups"]["memory"]["workers-4"]
+    mem_speedup = results["speedups"]["memory"]["fast"]
     if mem_speedup < args.min_speedup_memory:
         failures.append(
-            f"memory-backend workers-4 speedup below floor "
-            f"({mem_speedup:.2f}x < {args.min_speedup_memory:.2f}x vs baseline)"
+            f"memory-backend fast-parser speedup below floor "
+            f"({mem_speedup:.2f}x < {args.min_speedup_memory:.2f}x vs strict)"
         )
-    file_speedup = results["speedups"]["file"]["workers-4"]
+    file_speedup = results["speedups"]["file"]["fast"]
     if file_speedup < args.min_speedup_file:
         failures.append(
-            f"file-backend workers-4 speedup below floor "
-            f"({file_speedup:.2f}x < {args.min_speedup_file:.2f}x vs baseline)"
+            f"file-backend fast-parser speedup below floor "
+            f"({file_speedup:.2f}x < {args.min_speedup_file:.2f}x vs strict)"
         )
     return failures
 
@@ -392,15 +375,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--min-speedup-memory",
         type=float,
-        default=float(os.environ.get("BENCH_SMOKE_MIN_SPEEDUP_MEM", 2.0)),
-        help="workers-4 vs baseline speedup floor, memory backend "
-        "(default 2.0, or $BENCH_SMOKE_MIN_SPEEDUP_MEM)",
+        default=float(os.environ.get("BENCH_SMOKE_MIN_SPEEDUP_MEM", 1.5)),
+        help="fast vs strict speedup floor, memory backend "
+        "(default 1.5, or $BENCH_SMOKE_MIN_SPEEDUP_MEM)",
     )
     parser.add_argument(
         "--min-speedup-file",
         type=float,
         default=float(os.environ.get("BENCH_SMOKE_MIN_SPEEDUP_FILE", 1.3)),
-        help="workers-4 vs baseline speedup floor, file backend "
+        help="fast vs strict speedup floor, file backend "
         "(default 1.3, or $BENCH_SMOKE_MIN_SPEEDUP_FILE)",
     )
     parser.add_argument(

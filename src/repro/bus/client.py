@@ -196,8 +196,8 @@ class EventConsumer:
         return self._consumer.depth()
 
     @staticmethod
-    def as_event(message: Message) -> NLEvent:
-        return _as_event(message.body)
+    def as_event(message: Message, fast: bool = True) -> NLEvent:
+        return _as_event(message.body, fast)
 
     def drain(self) -> List[NLEvent]:
         return [_as_event(m.body) for m in self._consumer.drain()]
@@ -210,11 +210,11 @@ class EventConsumer:
         self._consumer.cancel()
 
 
-def _as_event(body: object) -> NLEvent:
+def _as_event(body: object, fast: bool = True) -> NLEvent:
     if isinstance(body, NLEvent):
         return body
     if isinstance(body, str):
-        return NLEvent.from_bp(body)
+        return NLEvent.from_bp(body, fast)
     raise TypeError(f"cannot interpret message body as NLEvent: {type(body)!r}")
 
 

@@ -10,7 +10,6 @@ from repro.loader.nl_load import (
     main,
     make_loader,
 )
-from repro.loader.pipeline import ParsePool, process_pool_available
 from repro.loader.spill import SpillBuffer, SpillOverflowError
 from repro.loader.stampede_loader import LoaderError, LoaderStats, StampedeLoader
 
@@ -20,8 +19,6 @@ __all__ = [
     "DeadLetter",
     "DeadLetterQueue",
     "Monitord",
-    "ParsePool",
-    "process_pool_available",
     "SpillBuffer",
     "SpillOverflowError",
     "follow_file",

@@ -20,11 +20,11 @@ import threading
 import time
 from typing import Callable, Optional, Union
 
-from repro.loader.pipeline import ParsePool
+from repro.loader.nl_load import parse_fast, positioned
 from repro.loader.stampede_loader import StampedeLoader
 from repro.model.entities import WorkflowStateRow
 from repro.model.states import WorkflowState
-from repro.netlogger.stream import tail_events_with_offsets, tail_raw
+from repro.netlogger.stream import bp_decoder, tail_raw
 
 __all__ = ["follow_file", "Monitord"]
 
@@ -37,7 +37,7 @@ def follow_file(
     poll: Callable[[], bool],
     flush_every: int = 100,
     start_offset: int = 0,
-    pool: Optional[ParsePool] = None,
+    parse_mode: str = "fast",
 ) -> int:
     """Tail a BP file into the loader until ``poll()`` returns False.
 
@@ -47,62 +47,14 @@ def follow_file(
     event's line, so a checkpointing loader records exactly how far into
     the file each committed batch reaches; ``start_offset`` skips the
     prefix a previous run already archived.
-
-    With a :class:`~repro.loader.pipeline.ParsePool`, raw lines are
-    buffered and parsed in parallel bursts; the buffer always drains
-    before ``poll()`` runs (the raw tail emits an EOF marker first), so
-    anything ``poll()`` inspects — e.g. the workflow-terminated state —
-    sees every event read so far, exactly as in the sequential path.
     """
-    if pool is None:
-        loaded = 0
-        for event, offset in tail_events_with_offsets(
-            path, poll, start_offset=start_offset
-        ):
-            loader.position = offset
-            loader.process(event)
-            loaded += 1
-            if loaded % flush_every == 0:
-                loader.flush()
-        loader.flush()
-        return loaded
-    return _follow_file_pooled(path, loader, poll, flush_every, start_offset, pool)
-
-
-def _follow_file_pooled(
-    path: PathLike,
-    loader: StampedeLoader,
-    poll: Callable[[], bool],
-    flush_every: int,
-    start_offset: int,
-    pool: ParsePool,
-) -> int:
     loaded = 0
-    burst: list = []
-    burst_limit = pool.chunk_size * max(1, pool.workers)
-
-    def drain() -> None:
-        nonlocal loaded
-        for outcome, _line, offset in pool.results(burst):
-            if isinstance(outcome, Exception):
-                raise outcome
-            loader.position = offset
-            loader.process(outcome)
-            loaded += 1
-            if loaded % flush_every == 0:
-                loader.flush()
-        burst.clear()
-
-    for kind, line, offset in tail_raw(path, poll, start_offset=start_offset):
-        if kind == "eof":
-            if burst:
-                drain()
-            continue
-        burst.append((line, offset))
-        if len(burst) >= burst_limit:
-            drain()
-    if burst:
-        drain()
+    lines = tail_raw(path, poll, start_offset=start_offset)
+    for event in positioned(loader, lines, bp_decoder(fast=parse_fast(parse_mode))):
+        loader.process(event)
+        loaded += 1
+        if loaded % flush_every == 0:
+            loader.flush()
     loader.flush()
     return loaded
 
@@ -122,10 +74,7 @@ class Monitord:
         poll_interval: float = 0.02,
         expected_terminations: int = 1,
         resume: bool = False,
-        workers: int = 0,
         parse_mode: str = "fast",
-        worker_mode: str = "thread",
-        chunk_size: int = 256,
     ):
         if resume and loader.checkpoint is None:
             raise ValueError("resume=True requires a loader with a checkpoint manager")
@@ -134,11 +83,9 @@ class Monitord:
         self.poll_interval = poll_interval
         self.expected_terminations = expected_terminations
         self.resume = resume
-        self.workers = workers
         self.parse_mode = parse_mode
-        self.worker_mode = worker_mode
-        self.chunk_size = chunk_size
         self.events_loaded = 0
+        self._error: Optional[BaseException] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -154,8 +101,11 @@ class Monitord:
         self._stop.set()
 
     def join(self, timeout: Optional[float] = None) -> None:
+        """Wait for the follower; re-raises whatever killed it."""
         if self._thread is not None:
             self._thread.join(timeout)
+        if self._error is not None:
+            raise self._error
 
     @property
     def running(self) -> bool:
@@ -188,30 +138,19 @@ class Monitord:
         return True
 
     def _run(self) -> None:
-        start_offset = self.loader.resume() if self.resume else 0
-        # wait for the file to exist (the engine may not have started yet)
-        while not os.path.exists(self.path):
-            if self._stop.is_set():
-                return
-            time.sleep(self.poll_interval)
-        pool = (
-            ParsePool(
-                workers=self.workers,
-                mode=self.worker_mode,
-                parse_mode=self.parse_mode,
-                chunk_size=self.chunk_size,
-            )
-            if self.workers > 0 or self.parse_mode != "fast"
-            else None
-        )
         try:
+            start_offset = self.loader.resume() if self.resume else 0
+            # wait for the file to exist (the engine may not have started yet)
+            while not os.path.exists(self.path):
+                if self._stop.is_set():
+                    return
+                time.sleep(self.poll_interval)
             self.events_loaded = follow_file(
                 self.path,
                 self.loader,
                 self._poll,
                 start_offset=start_offset,
-                pool=pool,
+                parse_mode=self.parse_mode,
             )
-        finally:
-            if pool is not None:
-                pool.close()
+        except BaseException as exc:  # noqa: BLE001 - re-raised from join()
+            self._error = exc

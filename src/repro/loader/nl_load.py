@@ -6,20 +6,25 @@ the ``stampede_loader`` module, mirroring the paper's invocation::
     nl_load --amqp-host=... -A queue=stampede stampede_loader \
         connString=sqlite:///test.db
 
-Usable three ways:
+One front-end, two sources:
 
-* :func:`load_file` / :func:`load_events` — Python API over files and
-  iterables;
-* :func:`load_from_bus` — attach to an in-process broker queue and drain
-  it (optionally following a live run until a predicate says stop);
-* :func:`main` — command-line entry point for file inputs.
+* :func:`load_file` — the single file driver: a path or stream of BP
+  lines, decoded (optionally through the ``--lint`` quarantine step)
+  into any sink with ``process`` / ``flush`` / ``position`` / ``resume``
+  (a :class:`StampedeLoader` or a sharded loader);
+  :func:`load_events` is the same for an in-memory iterable;
+* :func:`load_from_bus` — attach to a broker queue (in-process or
+  ``tcp://``) and drain it, optionally following a live run until a
+  predicate says stop;
+
+and :func:`main`, the ``nl-load`` command line over both.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.archive.store import StampedeArchive
 from repro.bus.broker import Broker, ConnectionLostError
@@ -33,28 +38,21 @@ from repro.lint.rules import Finding, Severity
 from repro.lint.stream import StreamLinter
 from repro.loader.checkpoint import CheckpointManager
 from repro.loader.dlq import DeadLetterQueue
-from repro.loader.pipeline import ParsePool
 from repro.loader.spill import SpillBuffer
 from repro.loader.stampede_loader import LoaderError, LoaderStats, StampedeLoader
 from repro.netlogger.events import NLEvent
+from repro.netlogger.stream import Decode, OnError, PathOrFile, bp_decoder, read_raw
 from repro.obs.instrument import bind_broker, bind_faults, bind_loader
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import PipelineClock
-from repro.netlogger.stream import (
-    BPReader,
-    read_events_with_offsets,
-    read_lines,
-    read_lines_with_offsets,
-)
 
 __all__ = [
     "load_events",
     "load_file",
-    "load_file_linted",
-    "load_file_sharded",
     "load_from_bus",
     "make_loader",
     "main",
+    "positioned",
 ]
 
 
@@ -115,177 +113,105 @@ def load_events(
     return loader
 
 
+def parse_fast(parse_mode: str) -> bool:
+    """A ``parse_mode`` ('fast' or 'strict') as the decoders' ``fast`` flag."""
+    if parse_mode not in ("fast", "strict"):
+        raise ValueError(f"parse_mode must be 'fast' or 'strict', got {parse_mode!r}")
+    return parse_mode == "fast"
+
+
+def positioned(sink, lines: Iterable, decode: Decode) -> Iterator[NLEvent]:
+    """The per-event step every file driver shares.
+
+    Decodes ``(line, offset)`` pairs and, just before handing each event
+    over, stamps the sink's source position with the offset after its
+    line — what a checkpointing sink persists with the batch.
+    """
+    for line, offset in lines:
+        event = decode(line, offset)
+        if event is not None:
+            sink.position = offset
+            yield event
+
+
 def load_file(
-    path,
-    loader: Optional[StampedeLoader] = None,
-    on_error: str = "raise",
+    source: PathOrFile,
+    sink=None,
+    *,
+    on_error: OnError = "raise",
     resume: bool = False,
-    workers: int = 0,
     parse_mode: str = "fast",
-    worker_mode: str = "thread",
-    chunk_size: int = 256,
+    lint: Optional[Decode] = None,
     **loader_kwargs,
-) -> StampedeLoader:
-    """Load a BP log file.
-
-    For a checkpointing loader the byte offset of each event is tracked
-    so every flush checkpoints exactly how far into the file the archive
-    is; ``resume=True`` seeks past everything a previous (possibly
-    crashed) run already committed instead of re-loading it.
-
-    ``workers > 0`` fans the parse/normalize stage out over a
-    :class:`~repro.loader.pipeline.ParsePool` of that many threads
-    (``worker_mode='process'`` for a process pool); events reach the
-    loader in exact file order regardless, so the archive — and any
-    checkpoint offsets — are identical to a ``workers=0`` run.
-    ``parse_mode='strict'`` forces the reference char-by-char BP scanner
-    instead of the fast-path tokenizers.
-    """
-    if workers > 0 or parse_mode != "fast":
-        pool = ParsePool(
-            workers=workers,
-            mode=worker_mode,
-            parse_mode=parse_mode,
-            chunk_size=chunk_size,
-        )
-        with pool:
-            return _load_file_pipelined(
-                path, loader, on_error, resume, pool, loader_kwargs
-            )
-    if loader is not None and loader.checkpoint is not None:
-        start = loader.resume() if resume else 0
-
-        def positioned() -> Iterable[NLEvent]:
-            for event, offset in read_events_with_offsets(
-                path, start_offset=start, on_error=on_error
-            ):
-                loader.position = offset
-                yield event
-
-        return load_events(positioned(), loader)
-    if resume:
-        raise ValueError("resume=True requires a loader with a checkpoint manager")
-    return load_events(BPReader(path, on_error=on_error), loader, **loader_kwargs)
-
-
-def _load_file_pipelined(
-    path,
-    loader: Optional[StampedeLoader],
-    on_error,
-    resume: bool,
-    pool: ParsePool,
-    loader_kwargs: dict,
-) -> StampedeLoader:
-    """File loading through a ParsePool (any worker count, either parse
-    mode); mirrors the sequential paths of :func:`load_file` exactly."""
-    if loader is not None and loader.checkpoint is not None:
-        start = loader.resume() if resume else 0
-
-        def positioned() -> Iterable[NLEvent]:
-            lines = read_lines_with_offsets(path, start_offset=start)
-            for event, offset in pool.events(lines, on_error=on_error):
-                loader.position = offset
-                yield event
-
-        return load_events(positioned(), loader)
-    if resume:
-        raise ValueError("resume=True requires a loader with a checkpoint manager")
-    events = (
-        event for event, _lineno in pool.events(read_lines(path), on_error=on_error)
-    )
-    return load_events(events, loader, **loader_kwargs)
-
-
-def load_file_sharded(
-    path,
-    sharded,
-    on_error: str = "raise",
-    resume: bool = False,
 ):
-    """Load a BP file through a :class:`repro.archive.shard.ShardedLoader`.
+    """Load a BP log (a path, or a stream such as stdin) into ``sink``.
 
-    Mirrors :func:`load_file`'s checkpoint semantics per shard: each
-    shard checkpoints the file offset of *its* last committed event, and
-    ``resume=True`` re-reads from the minimum shard floor while writers
-    skip what they already committed.
+    ``sink`` is a :class:`StampedeLoader` (built from ``loader_kwargs``
+    when omitted) or a :class:`repro.archive.shard.ShardedLoader`; the
+    byte offset after each event's line is its source position, so a
+    checkpointing sink records with every flush exactly how far into the
+    file the archive is.  ``resume=True`` re-reads from the position
+    ``sink.resume()`` reports instead of from the start (a sharded sink
+    reports its minimum shard floor; its writers skip what they already
+    committed).
+
+    ``on_error`` is the :func:`~repro.netlogger.stream.bp_decoder`
+    policy for malformed lines, called with the byte offset as position;
+    ``parse_mode='strict'`` selects the reference BP scanner.  ``lint``
+    replaces that decode step with another ``(line, offset) -> event or
+    None`` callable — the quarantining :class:`_LintDecode` of
+    ``nl-load --lint``, which the caller closes afterwards.
     """
-    start = time.perf_counter()
-    if sharded.checkpoint_source is not None:
-        floor = sharded.resume() if resume else 0
-        for event, offset in read_events_with_offsets(
-            path, start_offset=floor, on_error=on_error
-        ):
-            sharded.position = offset
-            sharded.process(event)
-        sharded.flush()
-        sharded.wall_seconds += time.perf_counter() - start
-        return sharded
-    if resume:
-        raise ValueError(
-            "resume=True requires a ShardedLoader with a checkpoint_source"
-        )
-    return sharded.process_all(BPReader(path, on_error=on_error))
+    decode = lint if lint is not None else bp_decoder(on_error, parse_fast(parse_mode))
+    if sink is None:
+        sink = make_loader(**loader_kwargs)
+    start = sink.resume() if resume else 0
+    sink.process_all(positioned(sink, read_raw(source, start), decode))
+    return sink
 
 
-def load_file_linted(
-    source: Union[str, TextIO],
-    loader: Optional[StampedeLoader] = None,
-    quarantine: Optional[Union[str, TextIO]] = None,
-    config: Optional[LintConfig] = None,
-    **loader_kwargs,
-) -> Tuple[StampedeLoader, List[Finding], int]:
-    """Load a BP log in lint-strict mode, quarantining failing events.
+class _LintDecode:
+    """The ``--lint`` decode step: lint every line, quarantine the bad.
 
-    Every line runs through the :class:`StreamLinter` analyzers first.
-    Lines that trigger an error-severity finding (malformed BP, schema
-    violations, illegal lifecycle transitions, orphan references, duplicate
-    delivery, ...) are written verbatim to ``quarantine`` — a path or file
-    object — instead of being silently archived; everything else is loaded
-    normally.  Returns ``(loader, findings, quarantined_count)``.
+    Every line runs through the :class:`StreamLinter` analyzers; one
+    that triggers an error-severity finding (malformed BP, schema
+    violations, illegal lifecycle transitions, orphan references,
+    duplicate delivery, ...) is written verbatim to the ``quarantine``
+    file and dropped instead of being silently archived.  After
+    :meth:`close`, :attr:`findings` and :attr:`quarantined` hold the
+    outcome.
     """
-    if loader is None:
-        loader = make_loader(**loader_kwargs)
-    path = source if isinstance(source, str) else "<stdin>"
-    linter = StreamLinter(config=config, path=path)
-    findings: List[Finding] = []
-    quarantined = 0
 
-    close_in = close_q = False
-    if isinstance(source, str):
-        fh: TextIO = open(source, "r", encoding="utf-8")
-        close_in = True
-    else:
-        fh = source
-    qfh: Optional[TextIO] = None
-    if isinstance(quarantine, str):
-        qfh = open(quarantine, "w", encoding="utf-8")
-        close_q = True
-    elif quarantine is not None:
-        qfh = quarantine
-    try:
-        for lineno, line in enumerate(fh, start=1):
-            event, line_findings = linter.feed_line(line, lineno)
-            findings.extend(line_findings)
-            if event is None and not line_findings:
-                continue  # blank line or comment
-            if event is None or any(
-                f.severity >= Severity.ERROR for f in line_findings
-            ):
-                quarantined += 1
-                if qfh is not None:
-                    qfh.write(line.rstrip("\n") + "\n")
-                continue
-            loader.process(event)
-        loader.flush()
-        findings.extend(linter.finish())
-    finally:
-        if close_in:
-            fh.close()
-        if qfh is not None:
-            qfh.flush()
-            if close_q:
-                qfh.close()
-    return loader, findings, quarantined
+    def __init__(
+        self,
+        path: str = "<stream>",
+        quarantine: Optional[str] = None,
+        config: Optional[LintConfig] = None,
+    ):
+        self._linter = StreamLinter(config=config, path=path)
+        self._qfh = open(quarantine, "w", encoding="utf-8") if quarantine else None
+        self._lineno = 0
+        self.findings: List[Finding] = []
+        self.quarantined = 0
+
+    def __call__(self, line: str, position: int) -> Optional[NLEvent]:
+        self._lineno += 1
+        event, findings = self._linter.feed_line(line, self._lineno)
+        if not findings:
+            return event  # clean event, or None for a blank line or comment
+        self.findings.extend(findings)
+        if event is None or any(f.severity >= Severity.ERROR for f in findings):
+            self.quarantined += 1
+            if self._qfh is not None:
+                self._qfh.write(line.rstrip("\n") + "\n")
+            return None
+        return event
+
+    def close(self) -> None:
+        """End of stream: add the unmatched-start findings, close the file."""
+        self.findings.extend(self._linter.finish())
+        if self._qfh is not None:
+            self._qfh.close()
 
 
 def load_from_bus(
@@ -302,10 +228,7 @@ def load_from_bus(
     dead_letter: Union[DeadLetterQueue, bool, None] = None,
     spill: Union[SpillBuffer, str, None] = None,
     resequence: bool = True,
-    workers: int = 0,
     parse_mode: str = "fast",
-    worker_mode: str = "thread",
-    chunk_size: int = 256,
     metrics: Optional[MetricsRegistry] = None,
     group: Optional[str] = None,
     member_id: Optional[str] = None,
@@ -314,64 +237,40 @@ def load_from_bus(
 ) -> StampedeLoader:
     """Consume events from a broker queue into the archive.
 
-    Drains whatever is queued; if ``until`` is given, keeps consuming until
-    ``until(loader)`` returns True (e.g. "the workflow-terminated state has
-    been recorded"), enabling real-time loading concurrent with a run.
+    Drains whatever is queued; with ``until``, keeps consuming until
+    ``until(loader)`` is true on an idle tick (e.g. "the
+    workflow-terminated state has been recorded") — real-time loading
+    concurrent with a run.  docs/loader.md and docs/resilience.md
+    describe the loop's guarantees; in short:
 
-    The consumption loop is backpressure-aware, crash-safe, and — under
-    chaos — self-healing:
-
-    * ``get`` *blocks* up to ``poll_timeout`` seconds instead of spinning,
-      so an idle loader costs no CPU and the batch buffer only flushes on
-      batch-full (inside :meth:`StampedeLoader.process`) or on the idle
-      deadline — never once per empty poll;
-    * messages are acked only after the batch containing them commits
-      (at-least-once delivery; a crashed loader's in-flight messages are
-      redelivered);
-    * deliveries run through a :class:`~repro.bus.reliable.Resequencer`
-      (``resequence=True``), which restores publish order and discards
-      duplicate deliveries, upgrading the at-least-once bus to
-      exactly-once archive writes;
-    * a lost broker connection is survived: the in-flight batch is
-      committed, stale state dropped, and the queue re-subscribed — the
-      broker's redeliveries then dedupe against the committed sequences;
+    * ``get`` blocks up to ``poll_timeout`` seconds, and the batch only
+      flushes when full or on that idle deadline;
+    * messages are acked only after the batch holding them commits
+      (at-least-once), and ``resequence=True`` runs deliveries through a
+      :class:`~repro.bus.reliable.Resequencer` that restores publish
+      order and drops duplicates — together, exactly-once archive writes;
+    * a lost connection commits the in-flight batch, drops stale state
+      and re-subscribes; redeliveries dedupe against what was committed;
     * ``dead_letter`` (a :class:`~repro.loader.dlq.DeadLetterQueue`, or
-      True to build one over this loader's archive) quarantines poison
-      events — unparseable or schema-violating payloads — instead of
-      letting one bad message kill the whole batch;
+      True for one over this loader's archive) quarantines poison
+      payloads instead of letting one kill the batch;
     * ``spill`` (a :class:`~repro.loader.spill.SpillBuffer` or a path)
-      enables graceful degradation: when the archive stays down past the
-      retry ladder, events are parked on disk and acked, then drained
-      back through the loader once the archive recovers;
+      parks events on disk while the archive is down past the retry
+      ladder and drains them back once it recovers;
     * ``max_length`` + ``overflow='block'`` bound the queue so a slow
-      loader blocks publishers instead of accumulating events;
-    * with a checkpointing loader and ``resume=True``, consumption
-      restarts after the last committed delivery tag, skipping redelivered
-      messages that are already in the archive.
-    * ``workers > 0`` drains queued messages in bursts and parses
-      string-bodied payloads through a parallel
-      :class:`~repro.loader.pipeline.ParsePool`; already-materialized
-      event bodies pass through untouched.  Messages are still
-      processed, acked, and dead-lettered one at a time in delivery
-      order, so every guarantee above holds for any worker count.
-    * ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) turns
-      on self-monitoring: broker queue/exchange collectors, the loader's
-      stats collector + flush histogram, and a
-      :class:`~repro.obs.spans.PipelineClock` that converts the
-      publisher's ``x-pub-ts`` stamps into end-to-end deliver/commit
-      latency histograms.
-    * ``broker`` may be a ``tcp://host:port`` url instead of an
-      in-process :class:`Broker` — consumption then runs over the
-      :mod:`repro.bus.net` transport against a remote
-      :class:`~repro.bus.net.BrokerServer`: same loop, same guarantees
-      (the remote consumer raises the same :class:`ConnectionLostError`
-      and reconnects the same way).
-    * ``group`` joins a consumer group instead of binding a private
-      queue: N concurrent loaders sharing a group name split the stream
-      by root workflow id without double-committing — see
-      :mod:`repro.bus.groups`.  ``member_id`` pins this loader's member
-      identity (a reconnect under the same id resumes the same
-      partition streams, which is what keeps it exactly-once);
+      loader blocks publishers;
+    * ``resume=True`` with a checkpointing loader skips redelivered
+      messages at or below the last committed delivery tag;
+    * ``parse_mode='strict'`` parses string bodies with the reference BP
+      scanner (event-object bodies pass through untouched);
+    * ``metrics`` binds broker, loader and
+      :class:`~repro.obs.spans.PipelineClock` deliver/commit latency
+      collectors to a :class:`~repro.obs.metrics.MetricsRegistry`;
+    * ``broker`` may be a ``tcp://host:port`` url: same loop, same
+      guarantees, over :mod:`repro.bus.net`;
+    * ``group`` joins a consumer group (:mod:`repro.bus.groups`) that
+      splits the stream by root workflow id; ``member_id`` pins this
+      member's identity so a restart resumes the same partitions, and
       ``partitions`` sizes a group created on first join.
     """
     remote = isinstance(broker, str)
@@ -392,17 +291,7 @@ def load_from_bus(
     clock = PipelineClock(metrics) if metrics is not None else None
     if metrics is not None and isinstance(broker, Broker):
         bind_broker(metrics, broker)
-    pool = (
-        ParsePool(
-            workers=workers,
-            mode=worker_mode,
-            parse_mode=parse_mode,
-            chunk_size=chunk_size,
-        )
-        if workers > 0 or parse_mode != "fast"
-        else None
-    )
-    burst_limit = max(1, chunk_size) * max(1, workers)
+    fast = parse_fast(parse_mode)
     consumer: Union[EventConsumer, GroupConsumer, "RemoteConsumer"]
     if remote:
         from repro.bus.net import RemoteConsumer
@@ -526,7 +415,7 @@ def load_from_bus(
         except transient:
             pass  # still down; stay degraded
 
-    def consume(msg: Message, parsed: Optional[object] = None) -> None:
+    def consume(msg: Message) -> None:
         if msg.delivery_tag <= skip_to:
             if clock is not None:
                 clock.on_dropped(msg)
@@ -543,13 +432,7 @@ def load_from_bus(
             in_flight.append(msg)
             try:
                 loader.position = msg.delivery_tag
-                if isinstance(parsed, Exception):
-                    # the parse pool already found this payload poisonous;
-                    # re-raise into the normal quarantine path below
-                    raise parsed
-                loader.process(
-                    parsed if parsed is not None else EventConsumer.as_event(msg)
-                )
+                loader.process(EventConsumer.as_event(msg, fast))
             except transient:
                 # batch-full flush failed beyond retries; the event's ops
                 # are safely journalled (flush only clears on success), so
@@ -569,23 +452,6 @@ def load_from_bus(
                 clock.on_dropped(msg)
             ack_quiet(msg)
 
-    def consume_all(ready: List[Message]) -> None:
-        # pooled path: pre-parse the string-bodied payloads in parallel,
-        # then settle each message through the ordinary one-at-a-time
-        # consume path (ack/DLQ/spill decisions stay per-message).
-        if pool is None:
-            for m in ready:
-                consume(m)
-            return
-        outcomes: List[Optional[object]] = [None] * len(ready)
-        to_parse = [
-            (m.body, i) for i, m in enumerate(ready) if isinstance(m.body, str)
-        ]
-        for outcome, _line, i in pool.results(to_parse):
-            outcomes[i] = outcome
-        for m, outcome in zip(ready, outcomes):
-            consume(m, outcome)
-
     def lost_connection() -> None:
         # the broker requeued everything unacked, including our
         # uncommitted batch: commit it now (the acks tolerate the
@@ -602,9 +468,9 @@ def load_from_bus(
     previous_on_flush = loader.on_flush
     loader.on_flush = ack_committed
     # depth() is free in-process but a full round trip over TCP, so a
-    # remote loader samples it sparsely instead of once per burst
+    # remote loader samples it sparsely instead of once per message
     depth_stride = 64 if remote else 1
-    bursts = 0
+    polled = 0
     try:
         while True:
             try:
@@ -613,41 +479,23 @@ def load_from_bus(
                 lost_connection()
                 continue
             if msg is not None:
-                burst = [msg]
-                conn_lost = False
-                if pool is not None and pool.workers > 0:
-                    # drain whatever is already queued (up to one pool
-                    # round) so the workers get a full burst to chew on
-                    while len(burst) < burst_limit:
-                        try:
-                            extra = consumer.get_message(timeout=0, auto_ack=False)
-                        except ConnectionLostError:
-                            conn_lost = True
-                            break
-                        if extra is None:
-                            break
-                        burst.append(extra)
-                bursts += 1
-                if bursts % depth_stride == 0:
+                polled += 1
+                if polled % depth_stride == 0:
                     loader.stats.record_queue_depth(consumer.depth())
-                ready: List[Message] = []
-                for m in burst:
+                if clock is not None:
+                    clock.on_delivered(msg)
+                if msg.redelivered:
+                    loader.stats.redelivered_events += 1
+                released, duplicates = (
+                    reseq.offer(msg) if reseq is not None else ([msg], [])
+                )
+                for dup in duplicates:
+                    loader.stats.duplicates_skipped += 1
                     if clock is not None:
-                        clock.on_delivered(m)
-                    if m.redelivered:
-                        loader.stats.redelivered_events += 1
-                    released, duplicates = (
-                        reseq.offer(m) if reseq is not None else ([m], [])
-                    )
-                    for dup in duplicates:
-                        loader.stats.duplicates_skipped += 1
-                        if clock is not None:
-                            clock.on_dropped(dup)
-                        ack_quiet(dup)
-                    ready.extend(released)
-                consume_all(ready)
-                if conn_lost:
-                    lost_connection()
+                        clock.on_dropped(dup)
+                    ack_quiet(dup)
+                for ready in released:
+                    consume(ready)
                 continue
             # idle deadline: push out the partial batch, then consult the
             # stop predicate (or stop once the backlog is drained).
@@ -663,25 +511,25 @@ def load_from_bus(
         # end of stream: release anything still held for a gap that will
         # never fill, then make the tail durable
         if reseq is not None:
-            consume_all(reseq.release_pending())
+            for held in reseq.release_pending():
+                consume(held)
         if archive_down:
             try_recover()
         loader.flush()
     finally:
         loader.on_flush = previous_on_flush
         loader.reseq_state = previous_reseq_state
-        if pool is not None:
-            pool.close()
         consumer.cancel()  # requeues anything not acked (crash semantics)
     return loader
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Command-line nl_load for file inputs.
+    """Command-line nl_load: a BP file, stdin, or a bus url into an archive.
 
-    Example::
+    Examples::
 
         nl-load workflow.bp stampede_loader connString=sqlite:///run.db
+        nl-load --bus tcp://host:port stampede_loader connString=sqlite:///run.db
     """
     parser = argparse.ArgumentParser(
         prog="nl-load", description="Load NetLogger BP logs into a Stampede archive."
@@ -695,7 +543,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "module",
         nargs="?",
-        default="stampede_loader",
+        default=None,
         help="loader module (only 'stampede_loader' is supported)",
     )
     parser.add_argument(
@@ -705,30 +553,11 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument("-b", "--batch-size", type=int, default=500)
     parser.add_argument(
-        "-w",
-        "--workers",
-        type=int,
-        default=0,
-        help="parse/normalize worker count (0 = inline, the default)",
-    )
-    parser.add_argument(
         "--parse-mode",
         choices=("fast", "strict"),
         default="fast",
         help="BP parser: 'fast' C-speed tokenizers with automatic "
         "fallback (default), or 'strict' reference scanner",
-    )
-    parser.add_argument(
-        "--worker-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool flavour for --workers > 0 (default: thread)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=256,
-        help="lines per parse-pool work unit (default: 256)",
     )
     parser.add_argument(
         "--profile",
@@ -888,7 +717,10 @@ def main(argv: Optional[list] = None) -> int:
                 "get crash-safety from redelivery + dedupe instead"
             )
         if args.lint:
-            parser.error("--lint is not supported with --bus")
+            parser.error(
+                "--lint decodes the BP lines of a file load; poison bus "
+                "payloads go to the dead-letter queue instead"
+            )
     else:
         if args.group or args.member_id:
             parser.error("--group/--member-id require --bus")
@@ -907,11 +739,10 @@ def main(argv: Optional[list] = None) -> int:
     if args.checkpoint and args.input == "-":
         parser.error("--checkpoint/--resume need a seekable file, not stdin")
     if args.checkpoint and args.lint:
-        parser.error("--checkpoint/--resume cannot be combined with --lint")
-    if args.lint and args.workers:
-        parser.error("--workers cannot be combined with --lint (lint is streaming)")
-    if args.workers < 0:
-        parser.error("--workers must be >= 0")
+        parser.error(
+            "--checkpoint/--resume cannot be combined with --lint: the "
+            "linter's stream state is not checkpointed"
+        )
     params = dict(p.split("=", 1) for p in param_args)
     conn_string = params.get("connString", "sqlite:///:memory:")
     if args.shards is not None and args.shard_dir is None:
@@ -924,12 +755,11 @@ def main(argv: Optional[list] = None) -> int:
                 "--shard-dir applies to file loads; bus consumers shard "
                 "via --group partitions (same crc32 router) instead"
             )
-        if args.lint:
-            parser.error("--lint is not supported with --shard-dir")
-        if args.workers:
-            parser.error("--workers is not supported with --shard-dir")
         if args.faults:
-            parser.error("--faults is not supported with --shard-dir")
+            parser.error(
+                "--faults is not supported with --shard-dir: a fault plan "
+                "wraps one database and every shard owns its own"
+            )
         if "connString" in params:
             parser.error(
                 "connString conflicts with --shard-dir (shards own their "
@@ -938,15 +768,27 @@ def main(argv: Optional[list] = None) -> int:
 
     # Self-monitoring: a fresh registry per invocation (the process
     # default stays untouched), served over HTTP and/or dumped as BP.
-    registry: Optional[MetricsRegistry] = None
+    observed = args.metrics_port is not None or args.self_log
+    registry = MetricsRegistry() if observed else None
     server = None
-    if args.metrics_port is not None or args.self_log:
-        registry = MetricsRegistry()
 
+    # -- sink ---------------------------------------------------------------
+    # In lint mode the analyzers are the strictness layer: events that would
+    # crash a strict loader are quarantined before it sees them, and the
+    # loader runs tolerantly so a quarantined event's survivors (e.g. a
+    # main.end whose submit.start was quarantined) cannot take it down.
+    sink: Any  # a StampedeLoader or a ShardedLoader: same sink contract
+    sink_options: Dict[str, Any] = dict(
+        batch_size=args.batch_size,
+        strict=not (args.tolerant or args.lint),
+        validate=args.validate,
+        checkpoint_source=args.input if args.checkpoint else None,
+        rollup=not args.no_rollup,
+    )
+    shard_set = plan = None
     if args.shard_dir is not None:
         # import lazily: repro.archive.shard imports from this package
         from repro.archive.shard import ShardedLoader, ShardSet
-        from repro.archive.tier import tier_finished
         from repro.obs.instrument import bind_shards
 
         shard_set = (
@@ -954,94 +796,44 @@ def main(argv: Optional[list] = None) -> int:
             if args.shards is not None
             else ShardSet.open(args.shard_dir)
         )
-        sharded = ShardedLoader(
-            shard_set,
-            batch_size=args.batch_size,
-            strict=not args.tolerant,
-            validate=args.validate,
-            checkpoint_source=args.input if args.checkpoint else None,
-            rollup=not args.no_rollup,
-        )
+        sink = ShardedLoader(shard_set, **sink_options)
         if registry is not None:
-            bind_shards(registry, sharded)
-            if args.metrics_port is not None:
-                from repro.obs.export import MetricsServer
+            bind_shards(registry, sink)
+    else:
+        sink = make_loader(conn_string, metrics=registry, **sink_options)
+        if args.faults:
+            from repro.faults import FaultPlan
 
-                server = MetricsServer(registry, port=args.metrics_port).start()
-                print(f"metrics: {server.url}", file=sys.stderr, flush=True)
-        shard_source = sys.stdin if args.input == "-" else args.input
-
-        def run_sharded():
-            return load_file_sharded(shard_source, sharded, resume=args.resume)
-
-        if args.profile:
-            _profiled(run_sharded, args.profile)
-        else:
-            run_sharded()
-        sharded.close()
-        if args.tier_finished:
-            report = tier_finished(shard_set)
-            print(
-                f"tiered {report.tiered_roots} finished root workflow(s) "
-                f"({report.rows_moved} rows) into the long-term store; "
-                f"{report.skipped_roots} still running",
-                file=sys.stderr,
-            )
-        if args.verbose:
-            _print_shard_stats(sharded.stats())
-        _finish_obs(registry, server, args)
-        shard_set.close()
-        return 0
-
-    # In lint mode the analyzers are the strictness layer: events that would
-    # crash a strict loader are quarantined before it sees them, and the
-    # loader runs tolerantly so a quarantined event's survivors (e.g. a
-    # main.end whose submit.start was quarantined) cannot take it down.
-    loader = make_loader(
-        conn_string,
-        batch_size=args.batch_size,
-        strict=not (args.tolerant or args.lint),
-        validate=args.validate,
-        checkpoint_source=args.input if args.checkpoint else None,
-        metrics=registry,
-        rollup=not args.no_rollup,
-    )
-    plan = None
-    if args.faults:
-        from repro.faults import FaultPlan
-
-        plan = FaultPlan.from_file(args.faults)
-        loader.archive.db = plan.wrap_database(loader.archive.db)
-        if registry is not None:
-            bind_faults(registry, plan.stats)
+            plan = FaultPlan.from_file(args.faults)
+            sink.archive.db = plan.wrap_database(sink.archive.db)
+            if registry is not None:
+                bind_faults(registry, plan.stats)
     if registry is not None and args.metrics_port is not None:
         from repro.obs.export import MetricsServer
 
         server = MetricsServer(registry, port=args.metrics_port).start()
         print(f"metrics: {server.url}", file=sys.stderr, flush=True)
-    source = sys.stdin if args.input == "-" else args.input
 
+    # -- source -------------------------------------------------------------
+    lint: Optional[_LintDecode] = None
     if args.bus:
         until: Optional[Callable[[StampedeLoader], bool]] = None
         if args.idle_exit > 0:
-            last = {"count": -1.0, "changed": time.monotonic()}
+            progress = [-1, 0.0]  # events processed, and when that last changed
 
-            def idle_until(ldr: StampedeLoader) -> bool:
+            def idle(ldr: StampedeLoader) -> bool:
                 # consulted only on idle ticks: stop once nothing new has
                 # arrived for idle_exit seconds (a live follower's stop
                 # condition; the publisher side decides when a run ends)
-                n = float(ldr.stats.events_processed)
                 now = time.monotonic()
-                if n != last["count"]:
-                    last["count"] = n
-                    last["changed"] = now
-                    return False
-                return now - last["changed"] >= args.idle_exit
+                if ldr.stats.events_processed != progress[0]:
+                    progress[:] = ldr.stats.events_processed, now
+                return now - progress[1] >= args.idle_exit
 
-            until = idle_until
+            until = idle
 
-        def run_bus():
-            return load_from_bus(
+        def run() -> None:
+            load_from_bus(
                 args.bus,
                 pattern=args.pattern,
                 queue_name=args.queue,
@@ -1049,71 +841,71 @@ def main(argv: Optional[list] = None) -> int:
                 group=args.group,
                 member_id=args.member_id,
                 partitions=args.partitions,
-                loader=loader,
+                loader=sink,
                 until=until,
                 dead_letter=True,
-                workers=args.workers,
                 parse_mode=args.parse_mode,
-                worker_mode=args.worker_mode,
-                chunk_size=args.chunk_size,
                 metrics=registry,
             )
 
-        stats = (
-            _profiled(run_bus, args.profile) if args.profile else run_bus()
-        ).stats
-        if args.verbose:
-            _print_stats(stats)
-        _finish_obs(registry, server, args)
-        return 0
-
-    if args.lint:
-        # BP permits engine-specific extras, so unknown attrs stay quiet;
-        # hard schema errors still quarantine.
-        config = LintConfig(allow_unknown_attrs=True)
-
-        def run_linted():
-            return load_file_linted(
-                source, loader, quarantine=args.quarantine, config=config
+    else:
+        if args.lint:
+            # BP permits engine-specific extras, so unknown attrs stay
+            # quiet; hard schema errors still quarantine.
+            lint = _LintDecode(
+                "<stdin>" if args.input == "-" else args.input,
+                quarantine=args.quarantine,
+                config=LintConfig(allow_unknown_attrs=True),
             )
 
-        loader, findings, quarantined = (
-            _profiled(run_linted, args.profile) if args.profile else run_linted()
-        )
-        stats = loader.stats
-        if findings:
-            print(render_text(findings), file=sys.stderr)
-        if quarantined:
-            where = f" -> {args.quarantine}" if args.quarantine else ""
+        def run() -> None:
+            load_file(
+                sys.stdin if args.input == "-" else args.input,
+                sink,
+                resume=args.resume,
+                parse_mode=args.parse_mode,
+                lint=lint,
+            )
+
+    try:
+        if args.profile:
+            _profiled(run, args.profile)
+        else:
+            run()
+    finally:
+        if lint is not None:
+            lint.close()
+
+    # -- report -------------------------------------------------------------
+    if shard_set is not None:
+        sink.close()
+        if args.tier_finished:
+            from repro.archive.tier import tier_finished
+
+            report = tier_finished(shard_set)
             print(
-                f"quarantined {quarantined} event(s){where}", file=sys.stderr
+                f"tiered {report.tiered_roots} finished root workflow(s) "
+                f"({report.rows_moved} rows) into the long-term store; "
+                f"{report.skipped_roots} still running",
+                file=sys.stderr,
             )
-        if args.verbose:
-            _print_stats(stats)
-        _finish_obs(registry, server, args)
-        return 1 if quarantined else 0
-
-    def run_load():
-        return load_file(
-            source,
-            loader,
-            resume=args.resume,
-            workers=args.workers,
-            parse_mode=args.parse_mode,
-            worker_mode=args.worker_mode,
-            chunk_size=args.chunk_size,
-        )
-
-    stats = (
-        _profiled(run_load, args.profile) if args.profile else run_load()
-    ).stats
-
+    if lint is not None:
+        if lint.findings:
+            print(render_text(lint.findings), file=sys.stderr)
+        if lint.quarantined:
+            where = f" -> {args.quarantine}" if args.quarantine else ""
+            print(f"quarantined {lint.quarantined} event(s){where}", file=sys.stderr)
     if args.verbose:
-        _print_stats(stats)
+        if shard_set is not None:
+            _print_shard_stats(sink.stats())
+        else:
+            _print_stats(sink.stats)
         if plan is not None:
             print(f"faults injected  : {plan.stats.total_injected}", file=sys.stderr)
     _finish_obs(registry, server, args)
-    return 0
+    if shard_set is not None:
+        shard_set.close()
+    return 1 if lint is not None and lint.quarantined else 0
 
 
 def _finish_obs(registry, server, args) -> None:
@@ -1140,7 +932,7 @@ def _finish_obs(registry, server, args) -> None:
         server.stop()
 
 
-def _profiled(fn, path: str):
+def _profiled(fn, path: str) -> None:
     """Run ``fn`` under cProfile; dump pstats to ``path`` and print the
     top 20 cumulative entries to stderr."""
     import cProfile
@@ -1149,14 +941,13 @@ def _profiled(fn, path: str):
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        result = fn()
+        fn()
     finally:
         profiler.disable()
         profiler.dump_stats(path)
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats("cumulative").print_stats(20)
         print(f"profile written to {path}", file=sys.stderr)
-    return result
 
 
 def _print_shard_stats(snap: Dict[str, object]) -> None:
@@ -1177,8 +968,8 @@ def _print_shard_stats(snap: Dict[str, object]) -> None:
 
 
 def _print_stats(stats: LoaderStats) -> None:
-    # One atomic snapshot: with a parallel pipeline still settling, field
-    # reads spread over several statements could mix two batches' state.
+    # One atomic snapshot: field reads spread over several statements
+    # could mix two batches' state while a metrics server is still up.
     snap = stats.snapshot()
     pct = snap["latency_percentiles"]
     print(f"events processed : {snap['events_processed']}")

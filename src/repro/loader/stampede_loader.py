@@ -91,9 +91,9 @@ class LoaderStats:
     spilled_events: int = 0  # events parked on disk while the archive was down
     spill_drains: int = 0  # successful spill-buffer drains back into the archive
     archive_outages: int = 0  # times the whole retry ladder was exhausted
-    # guards the latency window and the multi-field snapshot reads; the
-    # parallel pipeline mutates these fields from the loader thread while
-    # verbose reporting / metrics collectors read them from others
+    # guards the latency window and the multi-field snapshot reads: the
+    # loader thread mutates these fields while metrics collectors (and a
+    # sharded load's reporting) read them from other threads
     lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -145,8 +145,7 @@ class LoaderStats:
         """Per-flush commit latency percentiles, in seconds.
 
         Computed over a locked copy of the sample window, so a reader
-        never sees the list mid-append (or mid-halving) under the
-        parallel pipeline.
+        on another thread never sees the list mid-append (or mid-halving).
         """
         with self.lock:
             samples = list(self.flush_seconds)

@@ -8,6 +8,7 @@ the paper leans on).
 """
 from __future__ import annotations
 
+import io
 import os
 from typing import Callable, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
@@ -20,60 +21,81 @@ __all__ = [
     "read_events",
     "write_events",
     "read_events_with_offsets",
-    "read_lines",
-    "read_lines_with_offsets",
+    "read_raw",
     "tail_events",
-    "tail_events_with_offsets",
-    "tail_lines_with_offsets",
     "tail_raw",
+    "bp_decoder",
+    "PARSE_ERRORS",
 ]
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
 
-class BPReader:
-    """Iterate NLEvents from a BP log stream.
+#: every exception a malformed line can raise out of ``NLEvent.from_bp``
+PARSE_ERRORS = (BPParseError, ValueError, KeyError, TypeError)
 
-    ``on_error`` controls handling of malformed lines:
-      * ``'raise'``  — propagate BPParseError (default);
-      * ``'skip'``   — drop the line, recording it in :attr:`errors`;
-      * callable     — invoked with (line_number, line, exception).
+OnError = Union[str, Callable[[int, str, Exception], None]]
+Decode = Callable[[str, int], Optional[NLEvent]]
+
+
+def bp_decoder(on_error: OnError = "raise", fast: bool = True) -> Decode:
+    """Build the line -> event step every reader here shares.
+
+    The returned ``decode(line, position)`` gives None for blank lines,
+    ``#`` comments and — unless ``on_error='raise'`` — malformed lines:
+
+      * ``'raise'``  — propagate the parse error (default);
+      * ``'skip'``   — drop the line;
+      * callable     — invoked with ``(position, line, exception)``, then
+        the line is dropped.
+
+    ``position`` is whatever the caller counts lines by (a byte offset
+    for the file drivers, a line number for :class:`BPReader`).
+    ``fast=False`` selects the reference char-by-char BP scanner.
     """
 
-    def __init__(
-        self,
-        source: PathOrFile,
-        on_error: Union[str, Callable[[int, str, Exception], None]] = "raise",
-    ):
+    from_bp = NLEvent.from_bp  # bound once: this runs per line
+
+    def decode(line: str, position: int) -> Optional[NLEvent]:
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            return None
+        try:
+            return from_bp(stripped, fast)
+        except PARSE_ERRORS as exc:
+            if on_error == "raise":
+                raise
+            if callable(on_error):
+                on_error(position, stripped, exc)
+            return None
+
+    return decode
+
+
+class BPReader:
+    """Iterate NLEvents from a BP log stream, counting lines from 1.
+
+    ``on_error`` is the :func:`bp_decoder` policy with the line number
+    as position; lines dropped by ``'skip'`` or a callable are also
+    recorded in :attr:`errors`.
+    """
+
+    def __init__(self, source: PathOrFile, on_error: OnError = "raise"):
         self._source = source
         self._on_error = on_error
         self.errors: List[Tuple[int, str, Exception]] = []
-        self.lines_read = 0
+
+    def _record(self, lineno: int, line: str, exc: Exception) -> None:
+        self.errors.append((lineno, line, exc))
+        if callable(self._on_error):
+            self._on_error(lineno, line, exc)
 
     def __iter__(self) -> Iterator[NLEvent]:
-        close = False
-        if isinstance(self._source, (str, os.PathLike)):
-            fh: TextIO = open(self._source, "r", encoding="utf-8")
-            close = True
-        else:
-            fh = self._source
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                self.lines_read += 1
-                try:
-                    yield NLEvent.from_bp(stripped)
-                except (BPParseError, ValueError) as exc:
-                    if self._on_error == "raise":
-                        raise
-                    self.errors.append((lineno, stripped, exc))
-                    if callable(self._on_error):
-                        self._on_error(lineno, stripped, exc)
-        finally:
-            if close:
-                fh.close()
+        decode = bp_decoder("raise" if self._on_error == "raise" else self._record)
+        for lineno, (line, _offset) in enumerate(read_raw(self._source), start=1):
+            event = decode(line, lineno)
+            if event is not None:
+                yield event
 
 
 class BPWriter:
@@ -128,69 +150,49 @@ def write_events(target: PathOrFile, events: Iterable[NLEvent]) -> int:
         return writer.write_all(events)
 
 
-def read_lines(source: PathOrFile) -> Iterator[Tuple[str, int]]:
-    """Yield ``(stripped_line, line_number)`` pairs, skipping blanks/comments.
+def read_raw(source: PathOrFile, start_offset: int = 0) -> Iterator[Tuple[str, int]]:
+    """Yield ``(line, byte_offset_after_it)`` for every line of a BP log.
 
-    The raw-line feed for the parallel parse pipeline: filtering happens
-    here on the coordinating thread so workers only ever see real BP
-    payload lines.
+    A path is read in binary from ``start_offset``, so the offsets are
+    what a checkpointing loader persists: seeking to a stored offset
+    resumes exactly after the last durably-archived event.  A file
+    object is read from where it stands (through its byte buffer when it
+    has one); for a pure text stream the position counts characters — a
+    monotone marker only, which is why checkpoints need a path.
     """
-    close = False
-    if isinstance(source, (str, os.PathLike)):
-        fh: TextIO = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = source
+    owned = open(source, "rb") if isinstance(source, (str, os.PathLike)) else None
+    fh = owned if owned is not None else getattr(source, "buffer", source)
     try:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield stripped, lineno
-    finally:
-        if close:
-            fh.close()
-
-
-def read_lines_with_offsets(
-    path: Union[str, os.PathLike], start_offset: int = 0
-) -> Iterator[Tuple[str, int]]:
-    """Yield ``(stripped_line, byte_offset_after_its_line)`` pairs.
-
-    The offset-tracking raw feed for a checkpointing parallel load:
-    parsing is elsewhere, but the offsets measured here are exactly what
-    :func:`read_events_with_offsets` reports for the same file.
-    """
-    with open(path, "rb") as fh:
-        fh.seek(start_offset)
+        if start_offset:
+            fh.seek(start_offset)
         offset = start_offset
-        for raw in fh:
-            offset += len(raw)
-            stripped = raw.decode("utf-8").strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield stripped, offset
+        if isinstance(fh, io.TextIOBase):
+            for line in fh:
+                offset += len(line)
+                yield line, offset
+        else:
+            for raw in fh:
+                offset += len(raw)
+                yield raw.decode(), offset
+    finally:
+        if owned is not None:
+            owned.close()
 
 
 def read_events_with_offsets(
-    path: Union[str, os.PathLike],
+    source: PathOrFile,
     start_offset: int = 0,
-    on_error: str = "raise",
+    on_error: OnError = "raise",
 ) -> Iterator[Tuple[NLEvent, int]]:
-    """Yield ``(event, byte_offset_after_its_line)`` pairs from a BP file.
+    """Yield ``(event, byte_offset_after_its_line)`` pairs from a BP log."""
+    return _decoded(read_raw(source, start_offset), bp_decoder(on_error))
 
-    The offsets are what a checkpointing loader persists: re-opening the
-    file and seeking to the stored offset resumes exactly after the last
-    durably-archived event.  ``on_error='skip'`` drops malformed lines.
-    """
-    for stripped, offset in read_lines_with_offsets(path, start_offset):
-        try:
-            event = NLEvent.from_bp(stripped)
-        except (BPParseError, ValueError):
-            if on_error == "raise":
-                raise
-            continue
-        yield event, offset
+
+def _decoded(lines: Iterable[Tuple[str, int]], decode: Decode):
+    for line, offset in lines:
+        event = decode(line, offset)
+        if event is not None:
+            yield event, offset
 
 
 def tail_events(
@@ -205,49 +207,20 @@ def tail_events(
     Partial last lines are retained until their newline arrives.
     """
     start = os.path.getsize(path) if start_at_end else 0
-    for event, _offset in tail_events_with_offsets(path, poll, start_offset=start):
+    for event, _offset in _decoded(tail_raw(path, poll, start), bp_decoder()):
         yield event
-
-
-def tail_events_with_offsets(
-    path: Union[str, os.PathLike],
-    poll: Callable[[], bool],
-    start_offset: int = 0,
-) -> Iterator[Tuple[NLEvent, int]]:
-    """Offset-reporting variant of :func:`tail_events`.
-
-    Yields ``(event, byte_offset_after_its_line)``; reading starts at
-    ``start_offset`` so a checkpointed follower resumes mid-file.
-    """
-    for kind, line, offset in tail_raw(path, poll, start_offset=start_offset):
-        if kind == "line":
-            yield NLEvent.from_bp(line), offset
-
-
-def tail_lines_with_offsets(
-    path: Union[str, os.PathLike],
-    poll: Callable[[], bool],
-    start_offset: int = 0,
-) -> Iterator[Tuple[str, int]]:
-    """Raw-line variant of :func:`tail_events_with_offsets` (no parsing)."""
-    for kind, line, offset in tail_raw(path, poll, start_offset=start_offset):
-        if kind == "line":
-            yield line, offset
 
 
 def tail_raw(
     path: Union[str, os.PathLike],
     poll: Callable[[], bool],
     start_offset: int = 0,
-) -> Iterator[Tuple[str, Optional[str], int]]:
-    """Follow a growing file, yielding ``('line', text, offset)`` items.
+) -> Iterator[Tuple[str, int]]:
+    """:func:`read_raw` over a growing file: same pairs, but at EOF
+    ``poll()`` decides whether to keep waiting for more.
 
-    An ``('eof', None, offset)`` marker is emitted every time the reader
-    catches up with the file, *before* ``poll()`` is consulted — a
-    batching consumer (the parallel-parse follower) uses it to drain its
-    buffered lines so progress made so far is visible to whatever state
-    ``poll()`` inspects.  Partial last lines are retained until their
-    newline arrives; on shutdown a non-empty partial line is emitted.
+    Partial last lines are retained until their newline arrives; on
+    shutdown a non-empty partial line is emitted.
     """
     with open(path, "rb") as fh:
         fh.seek(start_offset)
@@ -259,14 +232,10 @@ def tail_raw(
                 buffer += chunk
                 if buffer.endswith(b"\n"):
                     offset += len(buffer)
-                    stripped = buffer.decode("utf-8").strip()
+                    yield buffer.decode("utf-8"), offset
                     buffer = b""
-                    if stripped and not stripped.startswith("#"):
-                        yield "line", stripped, offset
                 continue
-            yield "eof", None, offset
             if not poll():
                 if buffer.strip():
-                    offset += len(buffer)
-                    yield "line", buffer.decode("utf-8").strip(), offset
+                    yield buffer.decode("utf-8"), offset + len(buffer)
                 return

@@ -30,7 +30,7 @@ from repro.archive.shard import (
 from repro.archive.store import StampedeArchive
 from repro.bus.groups import partition_for
 from repro.loader import make_loader
-from repro.loader.nl_load import load_file_sharded
+from repro.loader.nl_load import load_file
 from repro.model.entities import WorkflowRow
 from repro.netlogger.events import NLEvent
 from repro.netlogger.stream import write_events
@@ -279,14 +279,14 @@ class TestShardedLoader:
         floor = resumed.resume()
         assert floor == min(w.floor for w in resumed.writers)
         assert floor > 0
-        load_file_sharded(path, resumed, resume=True)
+        load_file(path, resumed, resume=True)
         resumed.close()
 
         assert diff_canonical(expected, canonical_dump(shard_set.federated())) == []
         single.close()
         shard_set.close()
 
-    def test_load_file_sharded_without_checkpoint(self, tmp_path):
+    def test_load_file_into_shards_without_checkpoint(self, tmp_path):
         events = workload_events()
         path = str(tmp_path / "storm.bp")
         write_events(path, events)
@@ -294,13 +294,13 @@ class TestShardedLoader:
 
         shard_set = ShardSet.create(None, 4, backend="memory")
         sharded = ShardedLoader(shard_set, batch_size=50)
-        load_file_sharded(path, sharded)
+        load_file(path, sharded)
         sharded.close()
         assert diff_canonical(
             canonical_dump(single), canonical_dump(shard_set.federated())
         ) == []
-        with pytest.raises(ValueError, match="checkpoint_source"):
-            load_file_sharded(path, ShardedLoader(shard_set), resume=True)
+        with pytest.raises(ShardError, match="checkpoint_source"):
+            load_file(path, ShardedLoader(shard_set), resume=True)
         single.close()
         shard_set.close()
 

@@ -159,6 +159,28 @@ class TestFileKillAndResume:
         archive = StampedeArchive.open(f"sqlite:///{db}")
         assert archive.count(InvocationRow) == 5  # not doubled
 
+    @pytest.mark.parametrize("checkpointing", [False, True])
+    def test_on_error_callable_sees_every_bad_line(self, tmp_path, checkpointing):
+        """One reader, one policy: the callback fires with the byte
+        offset after the bad line whether or not the loader checkpoints."""
+        path = self._bp_file(tmp_path)
+        good = open(path, "rb").read()
+        lines = good.splitlines(keepends=True)
+        bad = b"this is not a bp line ===\n"
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines[:3]) + bad + b"".join(lines[3:]))
+        loader = make_loader(checkpoint_source=path if checkpointing else None)
+        seen = []
+        load_file(
+            path, loader, on_error=lambda pos, line, exc: seen.append((pos, line))
+        )
+        assert seen == [
+            (len(b"".join(lines[:3]) + bad), bad.decode().strip())
+        ]
+        assert loader.archive.count(InvocationRow) == 5
+        with pytest.raises(ValueError):
+            load_file(path, make_loader())  # default policy still raises
+
     def test_cli_checkpoint_rejects_stdin(self):
         from repro.loader.nl_load import main
 

@@ -131,3 +131,25 @@ class TestMonitordThread:
         assert not monitord.running
         q = StampedeQuery(loader.archive)
         assert len(q.workflows()) == 2
+
+    def test_follower_failure_reraised_from_join(self, tmp_path):
+        """A malformed line kills the follower thread; join() (and the
+        context manager) must surface that instead of returning as if the
+        run had simply ended."""
+        from repro.netlogger.bp import BPParseError
+
+        path = tmp_path / "bad.bp"
+        events = diamond_events()
+        with BPWriter(path) as writer:
+            writer.write_all(events[:5])
+        with open(path, "a") as fh:
+            fh.write("this is not a bp line ===\n")
+        monitord = Monitord(path, make_loader(), poll_interval=0.005).start()
+        with pytest.raises(BPParseError):
+            monitord.join(timeout=10)
+        assert not monitord.running
+        with pytest.raises(BPParseError):
+            with Monitord(path, make_loader(), poll_interval=0.005) as again:
+                deadline = time.time() + 10
+                while again.running and time.time() < deadline:
+                    time.sleep(0.005)

@@ -61,3 +61,48 @@ class TestNlLoadCli:
         flushes = int(next(l for l in out.splitlines() if "flushes" in l)
                       .split(":")[1])
         assert flushes > 10  # row-at-a-time flushing
+
+
+#: every refusal nl-load still makes, with the reason its message must give
+REFUSALS = [
+    (["--bus", "tcp://127.0.0.1:1", "--checkpoint"], "redelivery"),
+    (["--bus", "tcp://127.0.0.1:1", "--lint"], "dead-letter"),
+    (["{bp}", "--group", "g"], "require --bus"),
+    (["connString=sqlite:///x.db"], "need an input file"),
+    (["{bp}", "stampede_loader", "extra"], "unexpected arguments"),
+    (["{bp}", "other_loader"], "unknown loader module"),
+    (["{bp}", "--quarantine", "q.bp"], "requires --lint"),
+    (["-", "--checkpoint"], "seekable"),
+    (["{bp}", "--lint", "--checkpoint"], "not checkpointed"),
+    (["{bp}", "--shards", "2"], "requires --shard-dir"),
+    (["{bp}", "--tier-finished"], "requires --shard-dir"),
+    (["--bus", "tcp://127.0.0.1:1", "--shard-dir", "d"], "--group partitions"),
+    (["{bp}", "--shard-dir", "d", "--faults", "f.json"], "every shard owns"),
+    (["{bp}", "connString=sqlite:///x.db", "--shard-dir", "d"], "conflicts"),
+    # the parse pool is gone, flags and all
+    (["{bp}", "--workers", "2"], "unrecognized arguments"),
+    (["{bp}", "--worker-mode", "process"], "unrecognized arguments"),
+    (["{bp}", "--chunk-size", "64"], "unrecognized arguments"),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "argv, reason", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS]
+    )
+    def test_refused_with_reason(self, argv, reason, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bp = tmp_path / "run.bp"
+        write_events(bp, diamond_events())
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(bp=bp) for arg in argv])
+        assert exit_info.value.code == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()  # refused before any side effect
+
+    def test_refusal_list_is_complete(self):
+        """One REFUSALS row per ``parser.error`` site in ``main``."""
+        import inspect
+
+        sites = inspect.getsource(main).count("parser.error(")
+        assert sites == len([r for r in REFUSALS if "unrecognized" not in r[1]])

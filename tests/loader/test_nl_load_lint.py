@@ -1,9 +1,13 @@
 """nl-load --lint: strict loading with event quarantine."""
 import os
 
+import pytest
+
 from repro.archive import StampedeArchive
+from repro.archive.merge import canonical_dump
+from repro.archive.shard import open_archive
 from repro.lint import Severity
-from repro.loader.nl_load import load_file_linted, main
+from repro.loader.nl_load import _LintDecode, load_file, main
 from repro.model.entities import InvocationRow, JobInstanceRow, WorkflowRow
 from repro.netlogger.stream import write_events
 
@@ -15,11 +19,21 @@ FIXTURES = os.path.join(
 CORRUPTED_BP = os.path.join(FIXTURES, "corrupted.bp")
 
 
+def load_linted(path, quarantine=None):
+    """The ``--lint`` composition: one load_file, lint as its decode step."""
+    lint = _LintDecode(path, quarantine=quarantine)
+    try:
+        loader = load_file(path, lint=lint)
+    finally:
+        lint.close()
+    return loader, lint.findings, lint.quarantined
+
+
 class TestLoadFileLinted:
     def test_clean_stream_loads_everything(self, tmp_path):
         bp = tmp_path / "run.bp"
         write_events(bp, diamond_events())
-        loader, findings, quarantined = load_file_linted(str(bp))
+        loader, findings, quarantined = load_linted(str(bp))
         assert findings == []
         assert quarantined == 0
         archive = loader.archive
@@ -27,7 +41,7 @@ class TestLoadFileLinted:
 
     def test_corrupted_stream_quarantines_bad_lines(self, tmp_path):
         q = tmp_path / "bad.bp"
-        loader, findings, quarantined = load_file_linted(
+        loader, findings, quarantined = load_linted(
             CORRUPTED_BP, quarantine=str(q)
         )
         assert quarantined > 0
@@ -38,7 +52,7 @@ class TestLoadFileLinted:
         assert "this line is not best-practices format at all" in lines
 
     def test_good_events_still_load(self):
-        loader, findings, quarantined = load_file_linted(CORRUPTED_BP)
+        loader, findings, quarantined = load_linted(CORRUPTED_BP)
         archive = loader.archive
         # the clean prefix (wf.plan, job infos, ...) made it into the archive
         assert archive.count(WorkflowRow) >= 1
@@ -55,7 +69,7 @@ class TestLoadFileLinted:
                 line = line.replace(" restart_count=0", "")
             lines.append(line)
         bp.write_text("\n".join(lines) + "\n")
-        loader, findings, quarantined = load_file_linted(str(bp))
+        loader, findings, quarantined = load_linted(str(bp))
         assert quarantined == 1
         assert {f.rule_id for f in findings} >= {"STL103"}
 
@@ -79,7 +93,6 @@ class TestNlLoadLintCli:
     def test_quarantine_requires_lint(self, tmp_path, capsys):
         bp = tmp_path / "run.bp"
         write_events(bp, diamond_events())
-        import pytest
         with pytest.raises(SystemExit):
             main([str(bp), "--quarantine", str(tmp_path / "q.bp")])
 
@@ -92,3 +105,31 @@ class TestNlLoadLintCli:
         assert rc == 0
         archive = StampedeArchive.open(f"sqlite:///{db}")
         assert archive.count(InvocationRow) == 4
+
+
+class TestLintIntoShards:
+    @pytest.mark.parametrize("bp_name", ["clean", "corrupted"])
+    def test_lint_shard_dir_matches_lint_single_db(self, tmp_path, capsys, bp_name):
+        """--lint composes with --shard-dir: same survivors, same
+        quarantine bytes, same findings, same exit code."""
+        if bp_name == "clean":
+            bp = str(tmp_path / "run.bp")
+            write_events(bp, diamond_events())
+        else:
+            bp = CORRUPTED_BP
+        single_db = tmp_path / "single.db"
+        rc_single = main([bp, "stampede_loader", f"connString=sqlite:///{single_db}",
+                          "--lint", "--quarantine", str(tmp_path / "q1.bp")])
+        err_single = capsys.readouterr().err
+        shard_dir = tmp_path / "shards"
+        rc_sharded = main([bp, "--shard-dir", str(shard_dir), "--shards", "2",
+                           "--lint", "--quarantine", str(tmp_path / "q2.bp")])
+        err_sharded = capsys.readouterr().err
+
+        assert rc_sharded == rc_single == (0 if bp_name == "clean" else 1)
+        assert (tmp_path / "q2.bp").read_bytes() == (tmp_path / "q1.bp").read_bytes()
+        assert err_sharded.replace("q2.bp", "q1.bp") == err_single
+        single = StampedeArchive.open(f"sqlite:///{single_db}")
+        sharded = open_archive(str(shard_dir))
+        assert canonical_dump(sharded) == canonical_dump(single)
+        assert single.count(WorkflowRow) >= 1
