@@ -143,8 +143,9 @@ def main(argv=None) -> int:
         description="two-process bus loopback benchmark"
     )
     parser.add_argument(
-        "--ruptures", type=int, default=100,
-        help="CyberShake size (events scale ~56x this; default 100)",
+        "--ruptures", type=int, default=1700,
+        help="CyberShake size (events scale ~30x this; default 1700, the "
+             "51k events of the committed BENCH_bus.json)",
     )
     parser.add_argument("-o", "--out", default=None, help="write JSON here")
     parser.add_argument(

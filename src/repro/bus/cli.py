@@ -3,7 +3,7 @@
 Two subcommands cover the distributed quickstart end to end:
 
 * ``stampede-bus serve`` — stand up a :class:`~repro.bus.net.BrokerServer`
-  fronting a fresh in-process broker and run until interrupted.  With
+  fronting a fresh in-process broker and run until SIGINT or SIGTERM.  With
   ``--port 0`` the kernel picks the port; ``--announce FILE`` writes the
   resolved ``tcp://`` url atomically so scripts (and the integration
   tests) can discover it without racing the bind.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import time
 from typing import List, Optional
@@ -37,13 +38,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(url + "\n")
         os.replace(tmp, args.announce)
-    print(f"stampede-bus serving on {url}", flush=True)
+    # a supervisor stops a daemon with SIGTERM: give it SIGINT's exit
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        # whoever reads this line may signal at once, so it is printed
+        # where the interrupt is already caught
+        print(f"stampede-bus serving on {url}", flush=True)
         while True:
             time.sleep(1.0)
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.stop()
         print(
             f"stampede-bus stopped: {server.connections_total} connections, "

@@ -188,6 +188,18 @@ class EventConsumer:
     def ack(self, message: Message) -> None:
         self._consumer.ack(message)
 
+    def ack_many(self, messages: Iterable[Message]) -> None:
+        """Settle a committed batch in one call.
+
+        A tag the queue no longer knows (requeued by a disconnect) is
+        skipped: its redelivery settles through the normal path.
+        """
+        for message in messages:
+            try:
+                self._consumer.ack(message)
+            except ValueError:
+                pass
+
     def nack(self, message: Message, requeue: bool = True) -> None:
         self._consumer.nack(message, requeue=requeue)
 

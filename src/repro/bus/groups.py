@@ -39,7 +39,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.bus.queues import Message, MessageQueue
 from repro.bus.reliable import HEADER_PUBLISHER, HEADER_SEQ
@@ -610,8 +610,8 @@ class GroupConsumer:
 
     ``load_from_bus(..., group='loaders')`` builds one of these instead
     of a plain consumer; every method the loader's consumption loop
-    touches (``get_message``/``ack``/``nack``/``depth``/``reconnect``/
-    ``cancel``) behaves identically, so the resequencer and
+    touches (``get_message``/``ack``/``ack_many``/``nack``/``depth``/
+    ``reconnect``/``cancel``) behaves identically, so the resequencer and
     ack-after-commit batching work unchanged.
     """
 
@@ -686,6 +686,15 @@ class GroupConsumer:
 
     def ack(self, message: Message) -> None:
         self._member.ack(message.delivery_tag)
+
+    def ack_many(self, messages: Iterable[Message]) -> None:
+        """Settle a committed batch in one call; a tag revoked by a
+        rebalance or a disconnect is skipped (it redelivers)."""
+        for message in messages:
+            try:
+                self._member.ack(message.delivery_tag)
+            except ValueError:
+                pass
 
     def nack(self, message: Message, requeue: bool = True) -> None:
         self._member.nack(message.delivery_tag, requeue=requeue)

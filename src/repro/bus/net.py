@@ -23,7 +23,12 @@ Wire protocol (versioned, newline-delimited JSON):
   barrier that reports delivery counts and surfaces errors;
 * ``get`` waits *server-side* (capped per request) so an idle consumer
   parks on the broker's condition variables instead of request-spamming
-  the socket.
+  the socket.  With ``max`` the reply carries every message already
+  queued behind the first, up to that many — the wait is only ever for
+  the first, so a paced stream sees single-message latency and a
+  backlog drains in a few round trips;
+* ``ack`` settles a list of ``tags`` in one frame: a consumer that
+  commits in batches tells the broker so once per commit.
 
 :class:`RemotePublisher` / :class:`RemoteConsumer` mirror the
 :mod:`repro.bus.client` interfaces, so ``load_from_bus(bus='tcp://…')``
@@ -36,7 +41,18 @@ import json
 import socket
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from collections import deque
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+    cast,
+)
 
 from repro.bus.broker import (
     DEFAULT_EXCHANGE,
@@ -78,6 +94,13 @@ PROTOCOL_VERSION = 1
 #: client that died mid-wait; clients with longer (or infinite)
 #: timeouts just re-issue the request
 SERVER_WAIT_CAP = 5.0
+
+#: most messages one ``get`` reply carries, hence the most a
+#: :class:`RemoteConsumer` holds delivered-but-unseen.  Large enough that
+#: the round trip is amortised to noise, small enough that a consumer
+#: dying with a full buffer hands the broker back a fraction of a second
+#: of work to redeliver
+PREFETCH = 256
 
 #: socket-level timeout on client request/reply exchanges; generous
 #: because a flush barrier behind a large publish burst is legitimate
@@ -390,30 +413,55 @@ class BrokerServer:
                             SERVER_WAIT_CAP if timeout is None
                             else min(float(timeout), SERVER_WAIT_CAP)  # type: ignore[arg-type]
                         )
+                        batched = "max" in frame
+                        limit = min(int(frame["max"]), PREFETCH) if batched else 1  # type: ignore[arg-type]
+                        if limit < 1:
+                            raise ValueError("max must be >= 1")
+                        auto_ack = bool(frame.get("auto_ack", False))
+                        msgs: List[Message] = []
                         try:
+                            # wait only for the first message; the rest
+                            # of the batch is whatever is already queued
                             msg = consumer.get_message(
-                                timeout=wait,
-                                auto_ack=bool(frame.get("auto_ack", False)),
+                                timeout=wait, auto_ack=auto_ack
                             )
+                            while msg is not None:
+                                msgs.append(msg)
+                                if len(msgs) >= limit:
+                                    break
+                                msg = consumer.get_message(
+                                    timeout=0.0, auto_ack=auto_ack
+                                )
                         except ConnectionLostError as exc:
-                            subs.pop(int(frame["sub"]), None)  # type: ignore[arg-type]
-                            conn.send({
-                                "ok": False, "id": rid, "gone": True,
-                                "error": str(exc),
-                            })
-                            continue
-                        if msg is None:
+                            if not (auto_ack and msgs):
+                                # the disconnect requeued every unacked
+                                # delivery, a half-built batch included
+                                subs.pop(int(frame["sub"]), None)  # type: ignore[arg-type]
+                                conn.send({
+                                    "ok": False, "id": rid, "gone": True,
+                                    "error": str(exc),
+                                })
+                                continue
+                            # auto-acked messages were settled as they were
+                            # taken and nothing will redeliver them: hand
+                            # them over, the next get reports the loss
+                        if not msgs:
                             conn.send({"ok": True, "id": rid, "empty": True})
+                        elif batched:
+                            conn.send({
+                                "ok": True, "id": rid,
+                                "msgs": [_encode_message(m) for m in msgs],
+                                "depth": consumer.depth(),
+                            })
                         else:
                             conn.send({
                                 "ok": True, "id": rid,
-                                "msg": _encode_message(msg),
+                                "msg": _encode_message(msgs[0]),
                             })
                     elif op == "ack":
-                        # fire-and-forget, like publish: the loader acks in
-                        # batches and a stale tag is already tolerated
-                        # in-process (ack_quiet), so a reply per ack would
-                        # only throttle the commit path
+                        # fire-and-forget, like publish: one frame settles
+                        # a committed batch and ack_many skips a stale tag,
+                        # so a reply would only throttle the commit path
                         self._settle(subs, frame, requeue=None)
                     elif op == "nack":
                         self._settle(
@@ -472,12 +520,20 @@ class BrokerServer:
         try:
             consumer = self._sub(subs, frame)
             # the consumer interfaces settle by Message; only the tag is
-            # meaningful, so rehydrate a shell around it
-            shell = Message("", None, delivery_tag=int(frame["tag"]))  # type: ignore[arg-type]
+            # meaningful, so rehydrate shells around the tags
             if requeue is None:
-                consumer.ack(shell)
+                tags = cast(
+                    List[int],
+                    frame["tags"] if "tags" in frame else [frame["tag"]],
+                )
+                consumer.ack_many(
+                    [Message("", None, delivery_tag=int(t)) for t in tags]
+                )
             else:
-                consumer.nack(shell, requeue=requeue)
+                consumer.nack(
+                    Message("", None, delivery_tag=int(frame["tag"])),  # type: ignore[arg-type]
+                    requeue=requeue,
+                )
         except (ConnectionLostError, KeyError, TypeError, ValueError):
             # fire-and-forget settle on a stale tag/sub: drop it, exactly
             # as ack_quiet does in-process after a reconnect
@@ -647,6 +703,12 @@ class RemoteConsumer:
     disconnect (``gone`` reply), the caller settles its batch, then
     :meth:`reconnect` re-subscribes — same queue name or same group
     member identity — under the retry policy.
+
+    Unacked fetches ask for up to :data:`PREFETCH` messages per round
+    trip and hand them out one by one, so at most that many sit here
+    delivered but unseen.  To the broker they are ordinary unacked
+    deliveries: :meth:`reconnect`, :meth:`cancel` and a lost connection
+    forget them and the broker requeues them with the rest.
     """
 
     def __init__(
@@ -674,6 +736,9 @@ class RemoteConsumer:
         )
         self._conn: Optional[_ClientConn] = None
         self._sub: Optional[int] = None
+        self._prefetched: Deque[Message] = deque()
+        #: server-side queue depth as of the last ``get`` reply
+        self._depth: Optional[int] = None
         self.reconnects = 0
         self._subscribe()
 
@@ -729,6 +794,8 @@ class RemoteConsumer:
             self._conn.close()
         self._conn = None
         self._sub = None
+        self._prefetched.clear()
+        self._depth = None
 
     def _lost(self, detail: str) -> ConnectionLostError:
         self._teardown()
@@ -750,12 +817,11 @@ class RemoteConsumer:
         return reply
 
     # -- consuming ------------------------------------------------------------
-    def get_message(
-        self,
-        timeout: Optional[float] = DEFAULT_POLL_TIMEOUT,
-        auto_ack: bool = False,
-    ) -> Optional[Message]:
-        """Next message; the wait happens server-side in capped slices."""
+    def _fetch(
+        self, timeout: Optional[float], auto_ack: bool, limit: int
+    ) -> List[Message]:
+        """One batch of up to ``limit``; the wait (for the first message
+        only) happens server-side in capped slices."""
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
@@ -767,12 +833,36 @@ class RemoteConsumer:
                 "op": "get",
                 "timeout": remaining,
                 "auto_ack": auto_ack,
+                "max": limit,
             })
-            if "msg" in reply:
-                return _decode_message(reply["msg"])  # type: ignore[arg-type]
+            if "msgs" in reply:
+                self._depth = int(reply["depth"])  # type: ignore[arg-type]
+                return [
+                    _decode_message(m)
+                    for m in cast(List[Dict[str, object]], reply["msgs"])
+                ]
+            self._depth = 0
             if deadline is not None and time.monotonic() >= deadline:
-                return None
+                return []
             # empty + time left (or blocking): park again server-side
+
+    def get_message(
+        self,
+        timeout: Optional[float] = DEFAULT_POLL_TIMEOUT,
+        auto_ack: bool = False,
+    ) -> Optional[Message]:
+        """Next message, from the prefetch buffer when it holds one."""
+        if not self._prefetched:
+            # an auto-acked message is settled the moment the server
+            # sends it, so never hold more of those than the one returned
+            self._prefetched.extend(
+                self._fetch(timeout, auto_ack, 1 if auto_ack else PREFETCH)
+            )
+            if not self._prefetched:
+                return None
+        elif auto_ack:
+            self.ack(self._prefetched[0])
+        return self._prefetched.popleft()
 
     def get(
         self, timeout: Optional[float] = DEFAULT_POLL_TIMEOUT
@@ -785,37 +875,63 @@ class RemoteConsumer:
         return None if msg is None else EventConsumer.as_event(msg)
 
     def ack(self, message: Message) -> None:
-        self._settle("ack", message.delivery_tag)
+        self.ack_many([message])
+
+    def ack_many(self, messages: Iterable[Message]) -> None:
+        """Settle a whole committed batch with one frame.
+
+        The server drops, tag by tag, any it no longer knows (requeued
+        by a disconnect or a rebalance); those redeliver and settle
+        through the normal path.
+        """
+        tags = [m.delivery_tag for m in messages]
+        if tags:
+            self._send({"op": "ack", "tags": tags})
 
     def nack(self, message: Message, requeue: bool = True) -> None:
-        self._settle("nack", message.delivery_tag, requeue=requeue)
+        self._send(
+            {"op": "nack", "tag": message.delivery_tag, "requeue": requeue}
+        )
 
-    def _settle(self, op: str, tag: int, **extra: object) -> None:
+    def _send(self, frame: Dict[str, object]) -> None:
         if self._conn is None or self._sub is None:
             raise ConnectionLostError("not connected to bus server")
-        frame: Dict[str, object] = {"op": op, "sub": self._sub, "tag": tag}
-        frame.update(extra)
         try:
-            self._conn.send(frame)  # fire-and-forget, like in-process acks
+            # fire-and-forget, like in-process acks
+            self._conn.send(dict(frame, sub=self._sub))
         except OSError as exc:
             raise self._lost(str(exc)) from None
 
     def depth(self) -> int:
-        return int(self._request({"op": "depth"}).get("depth", 0))  # type: ignore[arg-type]
+        """Messages awaiting this consumer: what it has prefetched plus
+        the server-side queue as of the last ``get`` reply (asked for
+        afresh only when there has been none since subscribing)."""
+        queued = self._depth
+        if queued is None:
+            queued = int(self._request({"op": "depth"}).get("depth", 0))  # type: ignore[arg-type]
+        return queued + len(self._prefetched)
 
     def drain(self) -> List[NLEvent]:
-        out: List[NLEvent] = []
+        """Everything currently queued, settled with one ack at the end
+        (a connection lost on the way loses nothing: it all redelivers)."""
+        msgs: List[Message] = []
         while True:
-            msg = self.get_message(timeout=0.0, auto_ack=True)
+            msg = self.get_message(timeout=0.0)
             if msg is None:
-                return out
-            out.append(EventConsumer.as_event(msg))
+                break
+            msgs.append(msg)
+        self.ack_many(msgs)
+        return [EventConsumer.as_event(m) for m in msgs]
 
     def __iter__(self) -> Iterator[NLEvent]:
+        """Currently-available events (non-blocking), fetched in batches
+        and each acked as it is handed over — a caller that stops early
+        leaves the rest unacked, to be delivered by the next call."""
         while True:
-            msg = self.get_message(timeout=0.0, auto_ack=True)
+            msg = self.get_message(timeout=0.0)
             if msg is None:
                 return
+            self.ack(msg)
             yield EventConsumer.as_event(msg)
 
     def cancel(self) -> None:

@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     archive = StampedeArchive.open(args.connString)
     dashboard = Dashboard(archive, host=args.host, port=args.port).start()
-    print(f"stampede dashboard at {dashboard.url}")
+    print(f"stampede dashboard at {dashboard.url}", flush=True)
     if args.once:
         dashboard.stop()
         return 0
@@ -439,3 +439,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:  # pragma: no cover
         dashboard.stop()
     return 0
+
+
+if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
+    import sys
+
+    sys.exit(main())

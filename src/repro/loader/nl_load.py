@@ -233,6 +233,7 @@ def load_from_bus(
     group: Optional[str] = None,
     member_id: Optional[str] = None,
     partitions: int = 8,
+    on_subscribed: Optional[Callable[[str], None]] = None,
     **loader_kwargs,
 ) -> StampedeLoader:
     """Consume events from a broker queue into the archive.
@@ -271,7 +272,10 @@ def load_from_bus(
     * ``group`` joins a consumer group (:mod:`repro.bus.groups`) that
       splits the stream by root workflow id; ``member_id`` pins this
       member's identity so a restart resumes the same partitions, and
-      ``partitions`` sizes a group created on first join.
+      ``partitions`` sizes a group created on first join;
+    * ``on_subscribed(queue_name)`` is called once the subscription is
+      held: a publish that beats it is dead-lettered at the broker, so
+      this is the cue that publishing may start.
     """
     remote = isinstance(broker, str)
     if resume and (remote or group is not None):
@@ -322,6 +326,8 @@ def load_from_bus(
             max_length=max_length,
             overflow=overflow,
         )
+    if on_subscribed is not None:
+        on_subscribed(consumer.queue_name)
     if dead_letter is True:
         dead_letter = DeadLetterQueue(
             loader.archive,
@@ -380,8 +386,10 @@ def load_from_bus(
         # message whose events are now durable can be settled.
         if clock is not None:
             clock.on_committed(in_flight)
-        for msg in in_flight:
-            ack_quiet(msg)
+        try:
+            consumer.ack_many(in_flight)
+        except ConnectionLostError:
+            pass  # every tag is stale; see ack_quiet
         in_flight.clear()
 
     def enter_degraded() -> None:
@@ -467,10 +475,6 @@ def load_from_bus(
 
     previous_on_flush = loader.on_flush
     loader.on_flush = ack_committed
-    # depth() is free in-process but a full round trip over TCP, so a
-    # remote loader samples it sparsely instead of once per message
-    depth_stride = 64 if remote else 1
-    polled = 0
     try:
         while True:
             try:
@@ -479,9 +483,7 @@ def load_from_bus(
                 lost_connection()
                 continue
             if msg is not None:
-                polled += 1
-                if polled % depth_stride == 0:
-                    loader.stats.record_queue_depth(consumer.depth())
+                loader.stats.record_queue_depth(consumer.depth())
                 if clock is not None:
                     clock.on_delivered(msg)
                 if msg.redelivered:
@@ -846,6 +848,9 @@ def main(argv: Optional[list] = None) -> int:
                 dead_letter=True,
                 parse_mode=args.parse_mode,
                 metrics=registry,
+                on_subscribed=lambda queue: print(
+                    f"subscribed: {queue}", file=sys.stderr, flush=True
+                ),
             )
 
     else:

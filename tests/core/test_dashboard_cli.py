@@ -1,11 +1,13 @@
 import json
+import subprocess
+import sys
 import urllib.request
 
 from repro.core.dashboard import Dashboard, main
 from repro.loader import load_events
 from repro.netlogger.stream import write_events
 
-from tests.helpers import diamond_events
+from tests.helpers import await_line, child_env, diamond_events
 
 
 class TestGanttEndpoint:
@@ -34,3 +36,24 @@ class TestDashboardCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "http://127.0.0.1:" in out
+
+    def test_module_entry_prints_its_url_into_a_pipe(self, tmp_path):
+        """``python -m repro.core.dashboard`` serves, and a parent
+        reading its stdout through a pipe gets the URL while it runs —
+        not when the buffer is flushed at exit."""
+        db = tmp_path / "run.db"
+        dashboard = subprocess.Popen(
+            [sys.executable, "-m", "repro.core.dashboard", f"sqlite:///{db}"],
+            env=child_env(),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = await_line(dashboard.stdout, "stampede dashboard at")
+            url = line.rsplit(" ", 1)[-1].strip()
+            with urllib.request.urlopen(url + "/api/workflows", timeout=5) as resp:
+                assert json.loads(resp.read()) == {"workflows": []}
+        finally:
+            dashboard.kill()
+            dashboard.wait(timeout=10)
+            dashboard.stdout.close()

@@ -6,12 +6,52 @@ engine, so loader/query tests do not depend on engine correctness.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import os
+import queue
+import threading
+from pathlib import Path
+from typing import IO, Dict, List, Optional
 
 from repro.netlogger.events import NLEvent
 from repro.schema.stampede import Events
 
 XWF = "11111111-2222-4333-8444-555555555555"
+
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> Dict[str, str]:
+    """Environment for a child interpreter that must import ``repro``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def await_line(stream: IO[str], containing: str, timeout: float = 30.0) -> str:
+    """First line of a running child's pipe that contains ``containing``.
+
+    Read on a helper thread, so a child that buffers its output until
+    exit (or never writes) fails the test at the deadline instead of
+    hanging it; ``""`` means the pipe closed first.
+    """
+    found: "queue.Queue[str]" = queue.Queue()
+
+    def pump() -> None:
+        for line in stream:
+            if containing in line:
+                found.put(line)
+                return
+        found.put("")
+
+    threading.Thread(target=pump, daemon=True).start()
+    try:
+        return found.get(timeout=timeout)
+    except queue.Empty:
+        raise AssertionError(
+            f"no line containing {containing!r} within {timeout:g}s"
+        ) from None
 
 
 def _ev(name: str, ts: float, **attrs) -> NLEvent:

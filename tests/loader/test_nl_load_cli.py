@@ -1,14 +1,18 @@
 """nl-load CLI flags: tolerant mode, validation, stdin, errors."""
 import io
+import subprocess
+import sys
 
 import pytest
 
 from repro.archive import StampedeArchive
+from repro.bus.broker import DEAD_LETTER_QUEUE, Broker
+from repro.bus.net import BrokerServer, RemotePublisher
 from repro.loader.nl_load import main
 from repro.model.entities import InvocationRow
 from repro.netlogger.stream import write_events
 
-from tests.helpers import diamond_events
+from tests.helpers import await_line, child_env, diamond_events
 
 
 class TestNlLoadCli:
@@ -61,6 +65,38 @@ class TestNlLoadCli:
         flushes = int(next(l for l in out.splitlines() if "flushes" in l)
                       .split(":")[1])
         assert flushes > 10  # row-at-a-time flushing
+
+    def test_bus_loader_says_when_it_has_subscribed(self, tmp_path):
+        """A publish that beats the subscription is dead-lettered at the
+        broker, so ``nl-load --bus`` tells its parent — on stderr, at
+        once, pipe or not — when publishing may start."""
+        db = tmp_path / "out.db"
+        with BrokerServer(Broker()) as server:
+            loader = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.loader.nl_load",
+                    "--bus", server.url, "--queue", "events",
+                    "--idle-exit", "0.5",
+                    "stampede_loader", f"connString=sqlite:///{db}",
+                ],
+                env=child_env(),
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            try:
+                line = await_line(loader.stderr, "subscribed:")
+                assert line == "subscribed: events\n"
+                publisher = RemotePublisher(server.url)
+                publisher.publish_all(diamond_events())
+                publisher.close()
+                assert loader.wait(timeout=30) == 0
+            finally:
+                loader.kill()
+                loader.wait(timeout=10)
+                loader.stderr.close()
+            assert DEAD_LETTER_QUEUE not in server.broker.queue_names()
+        archive = StampedeArchive.open(f"sqlite:///{db}")
+        assert archive.count(InvocationRow) == 4
 
 
 #: every refusal nl-load still makes, with the reason its message must give
