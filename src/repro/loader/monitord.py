@@ -35,14 +35,16 @@ def follow_file(
     path: PathLike,
     loader: StampedeLoader,
     poll: Callable[[], bool],
-    flush_every: int = 100,
     start_offset: int = 0,
     parse_mode: str = "fast",
 ) -> int:
     """Tail a BP file into the loader until ``poll()`` returns False.
 
-    Returns the number of events loaded.  Flushes the loader's batch
-    buffer every ``flush_every`` events so queries see fresh data.
+    Returns the number of events loaded.  Commits on the live flush rule
+    (:meth:`StampedeLoader.flush_if_due`: batch full, or its oldest
+    event :data:`~repro.loader.stampede_loader.MAX_PENDING_AGE` old) so
+    queries see fresh data while lines keep arriving; what to do at EOF
+    is ``poll``'s business (:class:`Monitord` flushes there).
     The loader's source position tracks the byte offset after each
     event's line, so a checkpointing loader records exactly how far into
     the file each committed batch reaches; ``start_offset`` skips the
@@ -53,8 +55,7 @@ def follow_file(
     for event in positioned(loader, lines, bp_decoder(fast=parse_fast(parse_mode))):
         loader.process(event)
         loaded += 1
-        if loaded % flush_every == 0:
-            loader.flush()
+        loader.flush_if_due()
     loader.flush()
     return loaded
 

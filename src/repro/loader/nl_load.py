@@ -39,7 +39,12 @@ from repro.lint.stream import StreamLinter
 from repro.loader.checkpoint import CheckpointManager
 from repro.loader.dlq import DeadLetterQueue
 from repro.loader.spill import SpillBuffer
-from repro.loader.stampede_loader import LoaderError, LoaderStats, StampedeLoader
+from repro.loader.stampede_loader import (
+    MAX_PENDING_AGE,
+    LoaderError,
+    LoaderStats,
+    StampedeLoader,
+)
 from repro.netlogger.events import NLEvent
 from repro.netlogger.stream import Decode, OnError, PathOrFile, bp_decoder, read_raw
 from repro.obs.instrument import bind_broker, bind_faults, bind_loader
@@ -221,7 +226,7 @@ def load_from_bus(
     loader: Optional[StampedeLoader] = None,
     until: Optional[Callable[[StampedeLoader], bool]] = None,
     durable: bool = False,
-    poll_timeout: float = 0.05,
+    poll_timeout: float = MAX_PENDING_AGE,
     max_length: Optional[int] = None,
     overflow: str = "drop-oldest",
     resume: bool = False,
@@ -244,8 +249,12 @@ def load_from_bus(
     concurrent with a run.  docs/loader.md and docs/resilience.md
     describe the loop's guarantees; in short:
 
-    * ``get`` blocks up to ``poll_timeout`` seconds, and the batch only
-      flushes when full or on that idle deadline;
+    * ``poll_timeout`` is the longest an event waits in the loader
+      before its commit starts: a batch flushes when it is full or when
+      its oldest event is that old
+      (:meth:`~StampedeLoader.flush_if_due`), and ``get`` blocks no
+      longer than the open batch can still wait — ``poll_timeout``
+      itself when nothing is buffered, which is the idle tick;
     * messages are acked only after the batch holding them commits
       (at-least-once), and ``resequence=True`` runs deliveries through a
       :class:`~repro.bus.reliable.Resequencer` that restores publish
@@ -347,6 +356,7 @@ def load_from_bus(
         skip_to = loader.resume()
     in_flight: List[Message] = []
     archive_down = False
+    probe_at = 0.0  # degraded: monotonic time of the next archive probe
     # Persist resequencer dedupe floors with every checkpoint, and seed
     # them back on resume: a fresh resequencer starting mid-stream would
     # otherwise hold every delivery behind sequences committed before the
@@ -394,11 +404,12 @@ def load_from_bus(
 
     def enter_degraded() -> None:
         # the archive outlasted the whole retry ladder
-        nonlocal archive_down
+        nonlocal archive_down, probe_at
         loader.stats.archive_outages += 1
         if spill is None:
             raise  # noqa: PLE0704 - re-raise the active transient error
         archive_down = True
+        probe_at = time.monotonic() + poll_timeout
 
     def bp_line(msg: Message) -> str:
         body = msg.body
@@ -418,10 +429,13 @@ def load_from_bus(
         archive_down = False
 
     def try_recover() -> None:
+        nonlocal probe_at
         try:
             drain_spill()
         except transient:
-            pass  # still down; stay degraded
+            # still down; stay degraded and spare the archive (and this
+            # thread the retry ladder) for another poll_timeout
+            probe_at = time.monotonic() + poll_timeout
 
     def consume(msg: Message) -> None:
         if msg.delivery_tag <= skip_to:
@@ -441,10 +455,12 @@ def load_from_bus(
             try:
                 loader.position = msg.delivery_tag
                 loader.process(EventConsumer.as_event(msg, fast))
+                loader.flush_if_due(poll_timeout)
             except transient:
-                # batch-full flush failed beyond retries; the event's ops
-                # are safely journalled (flush only clears on success), so
-                # keep the message in flight and degrade if possible
+                # the flush (batch full, or due) failed beyond retries;
+                # the event's ops are safely journalled (flush only clears
+                # on success), so keep the message in flight and degrade
+                # if possible
                 enter_degraded()
         except (LoaderError, TypeError, ValueError, KeyError) as exc:
             # poison event: quarantine it rather than kill the batch
@@ -477,8 +493,14 @@ def load_from_bus(
     loader.on_flush = ack_committed
     try:
         while True:
+            # block no longer than the open batch can still wait (degraded,
+            # the stuck batch is past waiting: every delivery checks
+            # probe_at instead)
+            wait = poll_timeout
+            if not archive_down:
+                wait = max(0.0, poll_timeout - loader.pending_age())
             try:
-                msg = consumer.get_message(timeout=poll_timeout, auto_ack=False)
+                msg = consumer.get_message(timeout=wait, auto_ack=False)
             except ConnectionLostError:
                 lost_connection()
                 continue
@@ -498,9 +520,11 @@ def load_from_bus(
                     ack_quiet(dup)
                 for ready in released:
                     consume(ready)
+                if archive_down and time.monotonic() >= probe_at:
+                    try_recover()  # on the deadline too, not only when idle
                 continue
-            # idle deadline: push out the partial batch, then consult the
-            # stop predicate (or stop once the backlog is drained).
+            # the batch's deadline or an idle tick: push out the partial
+            # batch (degraded: probe the archive) ...
             if archive_down:
                 try_recover()
             else:
@@ -508,7 +532,9 @@ def load_from_bus(
                     loader.flush()
                 except transient:
                     enter_degraded()
-            if until is None or until(loader):
+            # ... and only after a full poll_timeout without a message
+            # consult the stop predicate (or stop, the backlog drained)
+            if wait >= poll_timeout and (until is None or until(loader)):
                 break
         # end of stream: release anything still held for a gap that will
         # never fill, then make the tail durable

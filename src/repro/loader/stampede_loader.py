@@ -51,7 +51,13 @@ from repro.util.retry import CircuitBreaker, RetryPolicy
 from repro.util.timeutil import parse_ts
 from repro.schema.validator import EventValidator
 
-__all__ = ["LoaderError", "LoaderStats", "StampedeLoader", "OBS_EVENT_PREFIX"]
+__all__ = [
+    "LoaderError",
+    "LoaderStats",
+    "StampedeLoader",
+    "MAX_PENDING_AGE",
+    "OBS_EVENT_PREFIX",
+]
 
 
 class LoaderError(ValueError):
@@ -65,6 +71,11 @@ OBS_EVENT_PREFIX = "stampede.obs."
 
 #: Cap on retained per-flush latency samples (long-running monitord).
 _MAX_LATENCY_SAMPLES = 8192
+
+#: The longest an event waits in a live loader before its commit starts
+#: (seconds): ``load_from_bus``'s default ``poll_timeout`` and the
+#: deadline ``follow_file`` runs on.
+MAX_PENDING_AGE = 0.05
 
 
 @dataclass
@@ -311,6 +322,10 @@ class StampedeLoader:
         self.position: int = 0
         #: called after every successful flush commit (bus path acks here)
         self.on_flush: Optional[Callable[["StampedeLoader"], None]] = None
+        # monotonic time the open batch started waiting, stamped by
+        # :meth:`flush_if_due` and cleared by the commit; None when
+        # nothing waits
+        self._pending_since: Optional[float] = None
         #: optional provider of per-publisher "next expected sequence"
         #: positions, persisted with each checkpoint (the bus path sets
         #: it so resequencer dedupe state survives a kill/resume — an
@@ -420,6 +435,7 @@ class StampedeLoader:
         resolved, still_deferred = self._resolve_deferred_subwf()
         ops = self._pending
         if not ops and not resolved:
+            self._pending_since = None
             if self.on_flush is not None:
                 self.on_flush(self)
             return
@@ -440,6 +456,7 @@ class StampedeLoader:
             breaker=self.breaker,
         )
         self._pending = []
+        self._pending_since = None
         self._deferred_subwf = still_deferred
         if self.rollup is not None:
             self.rollup.commit()  # deltas are durable; drop the bundle
@@ -456,6 +473,33 @@ class StampedeLoader:
             self._flush_hist.observe(elapsed)
         if self.on_flush is not None:
             self.on_flush(self)
+
+    def pending_age(self) -> float:
+        """Seconds the open batch's oldest event has waited for its commit
+        (0.0 when nothing waits) — the loader stage's "behind real time"."""
+        since = self._pending_since
+        return 0.0 if since is None else time.monotonic() - since
+
+    def flush_if_due(self, max_age: float = MAX_PENDING_AGE) -> bool:
+        """The live sources' flush rule; call it after each event handed over.
+
+        A batch commits when it is full (:meth:`process` does that) or
+        when its oldest event has waited ``max_age`` seconds — so a
+        stream too slow to fill batches is still committed, and acked,
+        within ``max_age``, while a saturated one keeps filling them.
+        The first call after a commit stamps the new batch's start: one
+        clock read per event on the live paths, none in
+        :meth:`process_all`.  Returns whether it flushed.
+        """
+        now = time.monotonic()
+        since = self._pending_since
+        if since is None:
+            self._pending_since = now
+            return False
+        if now - since < max_age:
+            return False
+        self.flush()
+        return True
 
     def _flush_once(
         self,

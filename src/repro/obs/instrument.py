@@ -201,6 +201,11 @@ def bind_loader(registry: MetricsRegistry, loader: "StampedeLoader") -> None:
             "stampede_loader_checkpoint_lag_seconds",
             "Seconds since the last checkpoint commit (0 when none yet).",
         ).set(lag)
+        reg.gauge(
+            "stampede_loader_oldest_pending_seconds",
+            "Seconds the oldest uncommitted event of a live source has "
+            "waited in the loader (0 when nothing waits).",
+        ).set(loader.pending_age())
 
     registry.register_collector(collect)
 

@@ -1,13 +1,23 @@
 """Backpressure-aware bus consumption: no busy-poll, bounded flushes,
-ack-only-after-commit."""
+ack-only-after-commit, and the commit deadline of the live paths."""
 import threading
 import time
+import types
 
+import pytest
+
+from repro.archive.merge import canonical_dump, diff_canonical, merge_canonical
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
-from repro.loader import load_from_bus, make_loader
+from repro.bus.net import BrokerServer, RemotePublisher
+from repro.core.rollup import verify_rollups
+from repro.loader import load_events, load_from_bus, make_loader
 from repro.model.entities import InvocationRow, WorkflowStateRow
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import PipelineClock
+from repro.schema.stampede import Events
 
+from tests.bus.test_net import wait_until, wire_events
 from tests.helpers import diamond_events
 
 
@@ -95,3 +105,278 @@ class TestAckOnFlush:
         assert loader.on_flush is not None
         loader.flush()  # no pending work; original callback still wired
         assert sentinel
+
+
+class TestFlushRule:
+    """``StampedeLoader.flush_if_due`` on a clock the test owns."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        now = [100.0]
+        monkeypatch.setattr(
+            "repro.loader.stampede_loader.time",
+            types.SimpleNamespace(
+                monotonic=lambda: now[0],
+                perf_counter=time.perf_counter,
+                time=time.time,
+            ),
+        )
+        return now
+
+    def test_commits_on_age_not_on_count(self, clock):
+        events = diamond_events()
+        loader = make_loader(batch_size=10_000)
+        assert loader.pending_age() == 0.0
+        for event in events[:40]:  # any number of events inside the window
+            loader.process(event)
+            assert not loader.flush_if_due(0.05)
+            clock[0] += 0.001
+        assert loader.stats.flushes == 0
+        assert loader.pending_age() == pytest.approx(0.04)
+        clock[0] += 0.011  # the first of them is now 51 ms old
+        assert loader.flush_if_due(0.05)
+        assert loader.stats.flushes == 1
+        assert loader.pending_age() == 0.0
+        # the next batch gets its own stamp, and its own full window
+        loader.process(events[40])
+        assert not loader.flush_if_due(0.05)
+        clock[0] += 0.049
+        assert not loader.flush_if_due(0.05)
+        assert loader.pending_age() == pytest.approx(0.049)
+
+    def test_any_commit_clears_the_stamp(self, clock):
+        loader = make_loader(batch_size=10_000)
+        loader.process(diamond_events()[0])
+        loader.flush_if_due(0.05)
+        clock[0] += 1.0
+        loader.flush()  # batch full, idle tick, end of stream: all the same
+        assert loader.pending_age() == 0.0
+        loader.flush_if_due(0.05)  # stamped with nothing journalled ...
+        clock[0] += 1.0
+        loader.flush()  # ... an empty flush still clears it
+        assert loader.pending_age() == 0.0
+
+    def test_age_is_a_scrape_time_gauge(self, clock):
+        registry = MetricsRegistry()
+        loader = make_loader(batch_size=10_000, metrics=registry)
+        gauge = "stampede_loader_oldest_pending_seconds"
+        assert registry.snapshot()[gauge] == 0.0
+        loader.process(diamond_events()[0])
+        loader.flush_if_due(0.05)
+        clock[0] += 0.03
+        assert registry.snapshot()[gauge] == pytest.approx(0.03)
+        loader.flush()
+        assert registry.snapshot()[gauge] == 0.0
+
+    def test_failed_commit_keeps_the_age_growing(self, clock):
+        loader = make_loader(batch_size=10_000)
+        loader.process(diamond_events()[0])
+        loader.flush_if_due(0.05)
+
+        def down():
+            raise RuntimeError("archive down")
+
+        loader.archive.transaction = down
+        clock[0] += 0.06
+        with pytest.raises(RuntimeError):
+            loader.flush_if_due(0.05)
+        clock[0] += 0.06
+        assert loader.pending_age() == pytest.approx(0.12)
+
+
+class _RecordingClock(PipelineClock):
+    """A PipelineClock that also keeps every deliver → commit interval."""
+
+    instances = []
+
+    def __init__(self, registry):
+        super().__init__(registry)
+        self.delivered_at = {}
+        self.waits = []
+        self.instances.append(self)
+
+    def on_delivered(self, message):
+        self.delivered_at[message.delivery_tag] = time.monotonic()
+        super().on_delivered(message)
+
+    def on_committed(self, messages):
+        now = time.monotonic()
+        self.waits.extend(
+            now - self.delivered_at.pop(m.delivery_tag) for m in messages
+        )
+        super().on_committed(messages)
+
+
+@pytest.fixture
+def commit_waits(monkeypatch):
+    """Deliver → commit seconds of every message ``load_from_bus`` settles
+    (summed over all loaders started with ``metrics=``)."""
+    monkeypatch.setattr(_RecordingClock, "instances", [])
+    monkeypatch.setattr("repro.loader.nl_load.PipelineClock", _RecordingClock)
+    return lambda: [w for c in _RecordingClock.instances for w in c.waits]
+
+
+WFS = ("wf-aaaa", "wf-bbbb", "wf-cccc", "wf-dddd")
+
+
+class TestCommitDeadline:
+    """One flush rule on the live paths: full, or the oldest buffered
+    event has waited ``poll_timeout``."""
+
+    def start(self, broker, done, **kwargs):
+        kwargs.setdefault("loader", make_loader(batch_size=10_000))
+        thread = threading.Thread(
+            target=load_from_bus,
+            args=(broker,),
+            kwargs=dict(until=lambda _ld: done.is_set(), **kwargs),
+        )
+        thread.start()
+        return kwargs["loader"], thread
+
+    def stop(self, done, *threads):
+        done.set()
+        for thread in threads:
+            thread.join(timeout=15)
+            assert not thread.is_alive()
+
+    def durable_queue(self):
+        broker = Broker()
+        queue = broker.declare_queue("q", durable=True)
+        broker.bind_queue("q", "stampede.#")
+        return broker, queue
+
+    def test_paced_stream_commits_within_the_deadline(self, commit_waits):
+        """~200 ev/s never fills a batch and is never idle: only the age
+        rule commits it, and it does so within ``poll_timeout``."""
+        poll_timeout = 0.1
+        events = wire_events(*WFS)
+        broker, queue = self.durable_queue()
+        done = threading.Event()
+        loader, thread = self.start(
+            broker, done, queue_name="q", durable=True,
+            poll_timeout=poll_timeout, metrics=MetricsRegistry(),
+        )
+        try:
+            publisher = EventPublisher(broker)
+            for event in events:
+                publisher.publish(event)
+                time.sleep(0.005)
+            during = loader.stats.flushes  # before the stream ever idled
+            wait_until(lambda: queue.stats.acked == len(events))
+        finally:
+            self.stop(done, thread)
+        assert during >= 4
+        waits = commit_waits()
+        assert len(waits) == len(events)
+        assert max(waits) < 3 * poll_timeout
+        want = canonical_dump(load_events(events).archive)
+        assert diff_canonical(want, canonical_dump(loader.archive)) == []
+        assert verify_rollups(loader.archive) == []
+
+    def test_sparse_stream_is_bounded_too(self, commit_waits):
+        """One event per 0.8 x ``poll_timeout``: ``get`` never times out,
+        so the wait itself has to end at the batch's deadline."""
+        poll_timeout = 0.2
+        events = wire_events("wf-aaaa")[:8]
+        broker, queue = self.durable_queue()
+        done = threading.Event()
+        _, thread = self.start(
+            broker, done, queue_name="q", durable=True,
+            poll_timeout=poll_timeout, metrics=MetricsRegistry(),
+        )
+        try:
+            publisher = EventPublisher(broker)
+            for event in events:
+                publisher.publish(event)
+                time.sleep(0.8 * poll_timeout)
+            wait_until(lambda: queue.stats.acked == len(events))
+        finally:
+            self.stop(done, thread)
+        waits = commit_waits()
+        assert len(waits) == len(events)
+        assert max(waits) < 2 * poll_timeout
+
+    def test_backlog_still_commits_in_full_batches(self):
+        """A drain fills its batches faster than they age, so the rule
+        leaves its batch boundaries where a sequential load puts them."""
+        events = wire_events(*WFS)
+        sequential = load_events(events, batch_size=50)
+        broker, _ = self.durable_queue()
+        EventPublisher(broker).publish_all(events)
+        loader = load_from_bus(
+            broker, queue_name="q", durable=True, poll_timeout=1.0,
+            loader=make_loader(batch_size=50),
+        )
+        assert loader.stats.flushes == sequential.stats.flushes > 4
+        assert diff_canonical(
+            canonical_dump(sequential.archive), canonical_dump(loader.archive)
+        ) == []
+
+    def test_deliveries_without_rows_are_acked_by_the_deadline(self):
+        """``inv.start`` journals nothing, yet its message is in flight:
+        the deadline settles it although no batch will ever fill."""
+        poll_timeout = 0.2
+        events = wire_events("wf-aaaa")
+        first = next(
+            i for i, e in enumerate(events) if e.event == Events.INV_START
+        )
+        broker, queue = self.durable_queue()
+        done = threading.Event()
+        loader, thread = self.start(
+            broker, done, queue_name="q", durable=True,
+            poll_timeout=poll_timeout,
+        )
+        try:
+            publisher = EventPublisher(broker)
+            publisher.publish_all(events[:first])
+            wait_until(lambda: queue.stats.acked == first)
+            flushes = loader.stats.flushes
+            for _ in range(8):  # 3.2 x poll_timeout, never idle for one
+                publisher.publish(events[first])
+                time.sleep(0.4 * poll_timeout)
+            assert queue.stats.acked > first  # settled mid-stream
+            assert loader.stats.flushes == flushes  # with no commit to make
+            wait_until(lambda: queue.stats.acked == first + 8)
+        finally:
+            self.stop(done, thread)
+
+    def test_paced_stream_over_tcp_into_a_consumer_group(self, commit_waits):
+        poll_timeout = 0.1
+        events = wire_events(*WFS)
+        want = canonical_dump(load_events(events).archive)
+        done = threading.Event()
+        with BrokerServer(Broker()) as server:
+            server.broker.declare_group("loaders", partitions=4)
+            started = [
+                self.start(
+                    server.url, done, group="loaders", member_id=f"m{i}",
+                    partitions=4, poll_timeout=poll_timeout,
+                    metrics=MetricsRegistry(),
+                )
+                for i in range(2)
+            ]
+            loaders, threads = zip(*started)
+            group = server.broker.group("loaders")
+            try:
+                wait_until(lambda: len(group.members()) == 2)
+                publisher = RemotePublisher(server.url, publisher_id="p1")
+                for event in events:
+                    publisher.publish(event)
+                    time.sleep(0.005)
+                publisher.flush()
+                publisher.close()
+                during = sum(ld.stats.flushes for ld in loaders)
+                wait_until(
+                    lambda: all(
+                        group.committed(p) == group.published_seq(p)
+                        for p in range(4)
+                    )
+                )
+            finally:
+                self.stop(done, *threads)
+        assert during >= 4
+        waits = commit_waits()
+        assert len(waits) == len(events)
+        assert max(waits) < 3 * poll_timeout
+        merged = merge_canonical(*(canonical_dump(ld.archive) for ld in loaders))
+        assert diff_canonical(want, merged) == []

@@ -3,9 +3,12 @@ redelivery accounting on the bus-consumption path.
 """
 import os
 import sqlite3
+import threading
+import time
 
 import pytest
 
+from repro.archive.merge import canonical_dump, diff_canonical
 from repro.archive.store import StampedeArchive
 from repro.bus.broker import DEAD_LETTER_QUEUE, Broker
 from repro.bus.client import EventPublisher
@@ -22,6 +25,7 @@ from repro.loader.dlq import DLQ_TABLE
 from repro.loader.stampede_loader import StampedeLoader
 from repro.util.retry import RetryPolicy
 
+from tests.bus.test_net import wait_until, wire_events
 from tests.helpers import diamond_events
 from tests.loader.test_checkpoint_resume import dump_archive
 
@@ -204,6 +208,59 @@ class TestDegradedMode:
         assert result.stats.spill_drains == 1
         assert not os.path.exists(spill_path)  # cleared after the drain
         assert dump_archive(result.archive) == baseline_dump()
+
+    def test_recovery_is_not_starved_by_steady_traffic(self, tmp_path):
+        """A transient outage under a publisher that never pauses for
+        ``poll_timeout``: recovery runs on the commit deadline, not only
+        on an idle tick, so the spill drains while traffic continues."""
+        # disarmed: while armed, every write transaction fails
+        plan = FaultPlan.from_dict(
+            {"archive": {"fail_transactions": list(range(1, 5000))}, "armed": False}
+        )
+        archive = StampedeArchive.open("sqlite:///:memory:")
+        archive.db = plan.wrap_database(archive.db)
+        loader = StampedeLoader(
+            archive,
+            batch_size=25,  # full batches fail too, not only due ones
+            retry_policy=RetryPolicy(max_retries=1, base_delay=0.0, max_delay=0.0),
+        )
+        events = wire_events("wf-aaaa", "wf-bbbb", "wf-cccc", "wf-dddd")
+        broker = bound_broker()
+        done = threading.Event()
+        thread = threading.Thread(
+            target=load_from_bus,
+            args=(broker,),
+            kwargs=dict(
+                queue_name=QUEUE, durable=True, loader=loader,
+                spill=str(tmp_path / "spill.bp"), poll_timeout=0.05,
+                until=lambda _ld: done.is_set(),
+            ),
+        )
+        thread.start()
+        drained_at = None
+        try:
+            publisher = EventPublisher(broker)
+            for i, event in enumerate(events):
+                if i == 60:
+                    plan.arm()  # the archive goes away ...
+                elif i == 120:
+                    plan.disarm()  # ... and is back 0.3 s later
+                publisher.publish(event)
+                time.sleep(0.005)  # 200 ev/s: no idle tick until the end
+                if drained_at is None and loader.stats.spill_drains:
+                    drained_at = i
+            queue = broker.queue(QUEUE)
+            wait_until(lambda: queue.stats.acked == len(events))
+        finally:
+            done.set()
+            thread.join(timeout=15)
+        assert not thread.is_alive()
+        assert loader.stats.archive_outages >= 1
+        assert loader.stats.spilled_events > 0
+        assert drained_at is not None and 120 <= drained_at < len(events) - 20
+        assert loader.stats.spill_drains == 1
+        want = canonical_dump(load_events(events).archive)
+        assert diff_canonical(want, canonical_dump(loader.archive)) == []
 
     def test_outage_without_spill_is_fatal(self):
         loader, _ = self.chaos_loader([1, 2, 3])

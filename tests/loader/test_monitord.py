@@ -4,7 +4,8 @@ import time
 import pytest
 
 from repro.loader import Monitord, follow_file, make_loader
-from repro.model.entities import InvocationRow, WorkflowRow
+from repro.loader.stampede_loader import MAX_PENDING_AGE
+from repro.model.entities import InvocationRow
 from repro.netlogger.stream import BPWriter
 from repro.query import StampedeQuery
 
@@ -37,21 +38,38 @@ class TestFollowFile:
         assert loader.archive.count(InvocationRow) == 4
 
     def test_flushes_incrementally(self, tmp_path):
+        """The follower commits on the live flush rule — the age of the
+        oldest buffered event — not on an event count."""
         path = tmp_path / "run.bp"
-        events = diamond_events()
-        with BPWriter(path) as writer:
-            writer.write_all(events)
+        uuid2 = "22222222-3333-4333-8444-555555555555"
+        events = diamond_events() + diamond_events(xwf=uuid2)
+        writer = BPWriter(path)
         loader = make_loader(batch_size=10_000)  # rely on follow's flushes
-        counts = []
-
-        state = {"polls": 0}
+        chunks = [events[:60], events[60:70], events[70:]]
+        flushes_at_eof = []
 
         def poll():
-            counts.append(loader.archive.count(WorkflowRow))
-            return False
+            flushes_at_eof.append(loader.stats.flushes)
+            if not chunks:
+                writer.close()
+                return False
+            for event in chunks.pop(0):
+                writer.write(event)
+            # the chunk just read is now older than the deadline: the next
+            # line to arrive finds its commit due
+            time.sleep(1.5 * MAX_PENDING_AGE)
+            return True
 
-        follow_file(path, loader, poll, flush_every=5)
-        assert loader.archive.count(InvocationRow) == 4
+        loaded = follow_file(path, loader, poll)
+        assert loaded == len(events)
+        # the first line after each pause commits what waited through it
+        # (a chunk read in one go does not flush, whatever its size —
+        # unless the host stalls mid-chunk, so that is not asserted here
+        # but on a fake clock in test_bus_consumption.TestFlushRule)
+        assert flushes_at_eof[0] == 0
+        assert flushes_at_eof[2] > flushes_at_eof[1]
+        assert flushes_at_eof[3] > flushes_at_eof[2]
+        assert loader.archive.count(InvocationRow) == 8
 
 
 class TestMonitordThread:
