@@ -9,7 +9,6 @@ These benches measure:
   events/second roughly flat as workflows grow);
 * the batching ablation (batch 1 vs 50 vs 1000);
 * file-stream vs AMQP-queue ingestion;
-* sqlite vs pure-memory archive backends;
 * the file-backed sqlite path at batch 500 (one fsync'd transaction per
   batch — the transactional-batching win).
 
@@ -18,8 +17,8 @@ smoke check::
 
     python benchmarks/bench_loader_scaling.py --scale 10 -o bench.json
 
-which loads a reduced workload through the memory- and file-backed
-archives and writes throughput + flush-latency numbers as JSON.
+which loads a reduced workload through in-memory and file-backed
+sqlite archives and writes throughput + flush-latency numbers as JSON.
 """
 import argparse
 import gc
@@ -48,7 +47,6 @@ from repro.archive.store import StampedeArchive
 from repro.bus.broker import Broker
 from repro.bus.client import BusSink, EventConsumer
 from repro.loader import StampedeLoader, load_events, load_file
-from repro.orm import MemoryDatabase
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.triana.appender import MemoryAppender
 from repro.workloads import cybershake
@@ -117,25 +115,6 @@ def test_file_vs_bus_ingestion(benchmark, tmp_path):
         return loader
 
     loader = benchmark(via_bus)
-    assert loader.stats.events_processed == len(events)
-
-
-@pytest.mark.parametrize("backend", ["sqlite", "memory"])
-def test_backend_ablation(benchmark, backend):
-    """sqlite vs the pure-memory archive backend."""
-    events = _events_for(50)
-
-    def load():
-        archive = (
-            StampedeArchive(MemoryDatabase())
-            if backend == "memory"
-            else StampedeArchive.open("sqlite:///:memory:")
-        )
-        loader = StampedeLoader(archive, batch_size=500)
-        loader.process_all(events)
-        return loader
-
-    loader = benchmark(load)
     assert loader.stats.events_processed == len(events)
 
 

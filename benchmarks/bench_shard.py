@@ -1,4 +1,4 @@
-"""Sharded-archive scaling sweep: 1/2/4 shards, memory + file backends.
+"""Sharded-archive scaling sweep: 1/2/4 file shards.
 
 The single-writer loader tops out around the committed
 ``BENCH_loader.json`` rate; the sharded archive removes that ceiling by
@@ -31,8 +31,8 @@ shared locks — the honest way:
 
 Gates (tunable via flags / ``STAMPEDE_SHARD_MIN_SCALING``):
 
-* file-backend capacity scaling at 4 shards vs 1 shard >= 3.0x;
-* absolute aggregate file capacity floor;
+* capacity scaling at 4 shards vs 1 shard >= 3.0x;
+* absolute aggregate capacity floor;
 * optional regression check against the committed ``BENCH_shard.json``.
 
 Usage::
@@ -52,7 +52,6 @@ from pathlib import Path
 from repro.archive.shard import ShardSet, ShardedLoader, partition_events
 from repro.archive.store import StampedeArchive
 from repro.loader import StampedeLoader
-from repro.orm import MemoryDatabase
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.triana.appender import MemoryAppender
 from repro.workloads import cybershake
@@ -98,16 +97,10 @@ def build_workload(n_ruptures: int, roots: int, max_shards: int):
     return events, seed
 
 
-def _open_archive(backend: str, path: Path):
-    if backend == "memory":
-        return StampedeArchive(MemoryDatabase())
-    return StampedeArchive.open(f"sqlite:///{path}")
-
-
-def measure_shard_slice(slice_events, backend: str, path: Path) -> dict:
+def measure_shard_slice(slice_events, path: Path) -> dict:
     """One shard's sustained writer rate, measured in isolation."""
     gc.collect()
-    archive = _open_archive(backend, path)
+    archive = StampedeArchive.open(f"sqlite:///{path}")
     loader = StampedeLoader(archive, batch_size=BATCH_SIZE)
     start = time.perf_counter()
     for event in slice_events:
@@ -125,13 +118,10 @@ def measure_shard_slice(slice_events, backend: str, path: Path) -> dict:
     }
 
 
-def measure_concurrent(events, shards: int, backend: str, workdir: Path) -> dict:
+def measure_concurrent(events, shards: int, workdir: Path) -> dict:
     """Transparent 1-box wall-clock of the real ShardedLoader path."""
     gc.collect()
-    if backend == "memory":
-        shard_set = ShardSet.create(None, shards, backend="memory")
-    else:
-        shard_set = ShardSet.create(workdir / f"concurrent-{shards}", shards)
+    shard_set = ShardSet.create(workdir / f"concurrent-{shards}", shards)
     sharded = ShardedLoader(shard_set, batch_size=BATCH_SIZE)
     sharded.process_all(events)
     sharded.close()
@@ -144,74 +134,57 @@ def measure_concurrent(events, shards: int, backend: str, workdir: Path) -> dict
 
 
 def run_sweep(events, runs: int, workdir: Path) -> dict:
-    """Per shard-count, per backend: best-of-``runs`` capacity + the
-    concurrent wall-clock."""
+    """Per shard-count: best-of-``runs`` capacity + the concurrent
+    wall-clock."""
     results = {}
     for shards in SHARD_COUNTS:
         slices = partition_events(events, shards)
-        per_backend = {}
-        for backend in ("memory", "file"):
-            best = None
-            for attempt in range(runs):
-                per_shard = []
-                for index, slice_events in enumerate(slices):
-                    path = (
-                        workdir
-                        / f"isolated-{backend}-{shards}-{attempt}-{index}.db"
-                    )
-                    sample = measure_shard_slice(slice_events, backend, path)
-                    sample["shard"] = index
-                    per_shard.append(sample)
-                    if path.exists():
-                        path.unlink()
-                capacity = round(
-                    sum(s["events_per_second"] for s in per_shard), 1
-                )
-                if best is None or capacity > best["capacity_events_per_second"]:
-                    best = {
-                        "events": len(events),
-                        "per_shard": per_shard,
-                        "capacity_events_per_second": capacity,
-                    }
-            best["concurrent"] = measure_concurrent(
-                events, shards, backend, workdir
-            )
-            per_backend[backend] = best
-        results[str(shards)] = per_backend
+        best = None
+        for attempt in range(runs):
+            per_shard = []
+            for index, slice_events in enumerate(slices):
+                path = workdir / f"isolated-{shards}-{attempt}-{index}.db"
+                sample = measure_shard_slice(slice_events, path)
+                sample["shard"] = index
+                per_shard.append(sample)
+                path.unlink()
+            capacity = round(sum(s["events_per_second"] for s in per_shard), 1)
+            if best is None or capacity > best["capacity_events_per_second"]:
+                best = {
+                    "events": len(events),
+                    "per_shard": per_shard,
+                    "capacity_events_per_second": capacity,
+                }
+        best["concurrent"] = measure_concurrent(events, shards, workdir)
+        results[str(shards)] = best
     return results
 
 
 def scaling_ratios(sweep: dict) -> dict:
-    out = {}
-    for backend in ("memory", "file"):
-        base = sweep["1"][backend]["capacity_events_per_second"]
-        out[backend] = {
-            f"capacity_x{n}_vs_x1": round(
-                sweep[str(n)][backend]["capacity_events_per_second"] / base, 2
-            )
-            for n in SHARD_COUNTS
-            if str(n) in sweep
-        }
-    return out
+    base = sweep["1"]["capacity_events_per_second"]
+    return {
+        f"capacity_x{n}_vs_x1": round(
+            sweep[str(n)]["capacity_events_per_second"] / base, 2
+        )
+        for n in SHARD_COUNTS
+    }
 
 
 def check_baseline(results: dict, baseline_path: str, threshold: float) -> list:
     """Regression gate vs the committed BENCH_shard.json (loose floor:
     shared runners drift, so only a collapse below ``threshold`` of the
-    committed 4-shard file capacity fails)."""
+    committed 4-shard capacity fails)."""
     committed = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
     failures = []
     try:
-        committed_cap = committed["shards"]["4"]["file"][
-            "capacity_events_per_second"
-        ]
+        committed_cap = committed["shards"]["4"]["capacity_events_per_second"]
     except KeyError:
-        return [f"baseline {baseline_path} has no 4-shard file capacity"]
+        return [f"baseline {baseline_path} has no 4-shard capacity"]
     floor = committed_cap * threshold
-    measured = results["shards"]["4"]["file"]["capacity_events_per_second"]
+    measured = results["shards"]["4"]["capacity_events_per_second"]
     if measured < floor:
         failures.append(
-            f"4-shard file capacity {measured:.0f} ev/s fell below "
+            f"4-shard capacity {measured:.0f} ev/s fell below "
             f"{threshold:.0%} of committed {committed_cap:.0f} ev/s"
         )
     return failures
@@ -233,14 +206,14 @@ def main(argv=None) -> int:
         "--min-scaling",
         type=float,
         default=float(os.environ.get("STAMPEDE_SHARD_MIN_SCALING", "3.0")),
-        help="4-shard vs 1-shard file-backend capacity floor "
+        help="4-shard vs 1-shard capacity floor "
         "(default 3.0, env STAMPEDE_SHARD_MIN_SCALING)",
     )
     parser.add_argument(
         "--min-eps",
         type=float,
         default=float(os.environ.get("STAMPEDE_SHARD_MIN_EPS", "10000")),
-        help="absolute 4-shard file aggregate capacity floor, events/s",
+        help="absolute 4-shard aggregate capacity floor, events/s",
     )
     parser.add_argument(
         "--baseline", metavar="PATH",
@@ -279,16 +252,16 @@ def main(argv=None) -> int:
     }
 
     failures = []
-    file_scaling = results["scaling"]["file"]["capacity_x4_vs_x1"]
-    if file_scaling < args.min_scaling:
+    scaling = results["scaling"]["capacity_x4_vs_x1"]
+    if scaling < args.min_scaling:
         failures.append(
-            f"file capacity scaling {file_scaling:.2f}x at 4 shards below "
+            f"capacity scaling {scaling:.2f}x at 4 shards below "
             f"the {args.min_scaling:.2f}x floor"
         )
-    file_capacity = sweep["4"]["file"]["capacity_events_per_second"]
-    if file_capacity < args.min_eps:
+    capacity = sweep["4"]["capacity_events_per_second"]
+    if capacity < args.min_eps:
         failures.append(
-            f"4-shard file capacity {file_capacity:.0f} ev/s below the "
+            f"4-shard capacity {capacity:.0f} ev/s below the "
             f"{args.min_eps:.0f} ev/s floor"
         )
     if args.baseline and os.path.exists(args.baseline):
@@ -306,8 +279,8 @@ def main(argv=None) -> int:
         print(f"shard bench FAILED: {len(failures)} gate(s)", file=sys.stderr)
         return 1
     print(
-        f"shard bench OK: 4-shard file capacity {file_capacity:.0f} ev/s "
-        f"({file_scaling:.2f}x vs 1 shard)",
+        f"shard bench OK: 4-shard capacity {capacity:.0f} ev/s "
+        f"({scaling:.2f}x vs 1 shard)",
         file=sys.stderr,
     )
     return 0

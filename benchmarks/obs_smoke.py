@@ -276,7 +276,7 @@ def check_roundtrip(selflog_path: Path, metrics: dict, result: dict) -> list:
 def check_shard_metrics(scale: int, seed: int) -> dict:
     """In-process gate for the per-shard instruments (``bind_shards``).
 
-    Loads a small workload through a 2-shard memory ``ShardedLoader``
+    Loads a small workload through a 2-shard in-memory ``ShardedLoader``
     with the shard binder attached, then asserts the per-shard series
     exist with ``shard`` labels and carry non-zero flush activity.
     """
@@ -304,7 +304,7 @@ def check_shard_metrics(scale: int, seed: int) -> dict:
 
     failures = []
     registry = MetricsRegistry()
-    shard_set = ShardSet.create(None, 2, backend="memory")
+    shard_set = ShardSet.create(None, 2)
     sharded = ShardedLoader(shard_set, batch_size=200)
     bind_shards(registry, sharded)
     sharded.process_all(events)

@@ -50,11 +50,20 @@ from repro.model.entities import (
     WorkflowRow,
     WorkflowStateRow,
 )
-from repro.orm.query import _sort_key
 
 __all__ = ["FederatedArchive", "FederationError"]
 
 T = TypeVar("T")
+
+
+def _sort_key(value: Any) -> Tuple[int, Any]:
+    """None sorts first, then type-grouped values (mirrors sqlite NULL order)."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, (int, float)):
+        return (1, value)
+    return (2, str(value))
+
 
 #: per-entity surrogate-id columns (primary keys and foreign keys alike);
 #: every one of these is remapped into the global id namespace
@@ -253,8 +262,9 @@ class FederatedEntityQuery:
                 query.limit(self._limit + self._offset)
             merged.extend(self._remap(e, index) for e in query.all())
         if self._order:
-            # same stable multi-key semantics as orm.Query.apply, on the
-            # *remapped* values so id ordering is globally consistent
+            # stable multi-key sort (keys applied in reverse significance
+            # order), on the *remapped* values so id ordering is globally
+            # consistent
             for column, descending in reversed(self._order):
                 merged.sort(
                     key=lambda e: _sort_key(getattr(e, column, None)),

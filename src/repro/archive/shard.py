@@ -122,8 +122,8 @@ def partition_events(
 class ShardSet:
     """N archives plus the manifest that pins their count.
 
-    ``backend="memory"`` builds an anonymous in-process set (no
-    directory, no manifest) for benchmarks and tests.
+    ``directory=None`` builds an anonymous set over in-memory sqlite
+    databases (no files, no manifest) for benchmarks and tests.
     """
 
     def __init__(
@@ -142,22 +142,12 @@ class ShardSet:
         cls,
         directory: Optional[Union[str, Path]],
         shards: int,
-        backend: str = "sqlite",
     ) -> "ShardSet":
         """Create (or re-open, if the manifest already agrees) a shard set."""
         if shards < 1:
             raise ShardError(f"shards must be >= 1, got {shards}")
-        if backend == "memory":
-            if directory is not None:
-                raise ShardError("memory shard sets are anonymous (no directory)")
-            archives = [
-                StampedeArchive.open("memory://") for _ in range(shards)
-            ]
-            return cls(None, shards, archives)
-        if backend != "sqlite":
-            raise ShardError(f"unknown shard backend {backend!r}")
         if directory is None:
-            raise ShardError("sqlite shard sets need a directory")
+            return cls(None, shards, [StampedeArchive() for _ in range(shards)])
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         manifest_path = root / MANIFEST_NAME
@@ -504,7 +494,6 @@ def open_archive(
     spec                          result
     ============================  ========================================
     ``sqlite:///PATH``            single :class:`StampedeArchive`
-    ``memory://``                 single :class:`StampedeArchive`
     ``PATH.db`` (plain file)      single :class:`StampedeArchive`
     directory with shards.json    :class:`FederatedArchive` over the set
                                   (including the long-term tier)
@@ -512,7 +501,7 @@ def open_archive(
                                   (sorted, so global ids are stable)
     ============================  ========================================
     """
-    if spec.startswith("sqlite:///") or spec in ("memory://", "memory"):
+    if spec.startswith("sqlite:///"):
         return StampedeArchive.open(spec)
     path = Path(spec)
     if path.is_dir():

@@ -1,6 +1,6 @@
 """StampedeArchive: typed access to the relational archive.
 
-Wraps a :class:`~repro.orm.Database` with the Fig. 3 tables, surrogate-key
+Wraps a :class:`~repro.orm.SqliteDatabase` with the Fig. 3 tables, surrogate-key
 sequences, and entity-typed insert/fetch helpers.  The loader performs the
 event-to-row normalization; the query interface reads through this class.
 """
@@ -32,7 +32,7 @@ from repro.model.entities import (
     WorkflowRow,
     WorkflowStateRow,
 )
-from repro.orm import Database, Query, Table, connect
+from repro.orm import Query, SqliteDatabase, Table, connect
 
 __all__ = ["StampedeArchive"]
 
@@ -59,9 +59,9 @@ _ENTITY_TABLE = {
 
 
 class StampedeArchive:
-    """The relational archive: one Database plus schema + sequences."""
+    """The relational archive: one database plus schema + sequences."""
 
-    def __init__(self, database: Optional[Database] = None):
+    def __init__(self, database: Optional[SqliteDatabase] = None):
         self.db = database if database is not None else connect("sqlite:///:memory:")
         self.db.create_tables(ddl.ALL_TABLES)
         self._sequences: Dict[str, itertools.count] = {}

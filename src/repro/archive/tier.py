@@ -143,7 +143,7 @@ class LongTermStore:
         the foreign keys) so records from different shards and different
         tiering passes cannot collide.
         """
-        archive = StampedeArchive.open("memory://")
+        archive = StampedeArchive()
         for record in self.records():
             self._materialize(archive, record)
         return archive

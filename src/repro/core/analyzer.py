@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.archive.store import StampedeArchive
 from repro.model.entities import JobInstanceRow, JobRow
 from repro.query.api import StampedeQuery
 from repro.schema.stampede import SUCCESS
@@ -201,7 +200,7 @@ def main(argv: Optional[list] = None) -> int:
         prog="stampede-analyzer",
         description="Debug failed jobs in a Stampede archive.",
     )
-    parser.add_argument("connString", help="e.g. sqlite:///run.db")
+    parser.add_argument("connString", help="sqlite:///run.db, a shard directory or a glob")
     parser.add_argument("--wf-uuid", help="workflow to analyze (defaults to the root)")
     parser.add_argument(
         "--all",
@@ -209,7 +208,9 @@ def main(argv: Optional[list] = None) -> int:
         help="recurse into successful sub-workflows as well",
     )
     args = parser.parse_args(argv)
-    archive = StampedeArchive.open(args.connString)
+    from repro.archive.shard import open_archive
+
+    archive = open_archive(args.connString)
     analysis = analyze(
         archive, wf_uuid=args.wf_uuid, recurse_into_successful=args.all
     )

@@ -404,7 +404,7 @@ class Dashboard:
 
 
 def main(argv=None) -> int:
-    """stampede-dashboard: serve an archive file over HTTP.
+    """stampede-dashboard: serve an archive over HTTP.
 
     Example::
 
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
         prog="stampede-dashboard",
         description="Serve the Stampede performance dashboard for an archive.",
     )
-    parser.add_argument("connString", help="e.g. sqlite:///run.db")
+    parser.add_argument("connString", help="sqlite:///run.db, a shard directory or a glob")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="port to bind (default: ephemeral)")
@@ -425,8 +425,10 @@ def main(argv=None) -> int:
         help="print the URL and exit immediately (for scripting/tests)",
     )
     args = parser.parse_args(argv)
-    archive = StampedeArchive.open(args.connString)
-    dashboard = Dashboard(archive, host=args.host, port=args.port).start()
+    from repro.archive.shard import open_archive
+
+    archive = open_archive(args.connString)
+    dashboard = Dashboard(archive, args.host, args.port, metrics=get_registry()).start()
     print(f"stampede dashboard at {dashboard.url}", flush=True)
     if args.once:
         dashboard.stop()

@@ -1,13 +1,13 @@
 """Archive-layer chaos: injected transient failures on write transactions.
 
-:class:`ChaosDatabase` wraps any :class:`~repro.orm.database.Database`
+:class:`ChaosDatabase` wraps a :class:`~repro.orm.database.SqliteDatabase`
 and makes chosen write-transaction *attempts* fail with
 ``sqlite3.OperationalError('database is locked')`` — raised at
 transaction entry, which is precisely where real SQLite lock contention
-surfaces (``BEGIN IMMEDIATE`` cannot take the write lock).  Failing
-before any statement runs also keeps the no-rollback
-:class:`~repro.orm.database.MemoryDatabase` consistent, so the chaos
-suite runs on either backend.
+surfaces (``BEGIN IMMEDIATE`` cannot take the write lock).  A failure
+*after* the batch's statements ran (rollback, then replay) is not
+injected here; ``tests/loader/test_loader_resilience.py`` covers it
+with a wrapper of its own.
 
 The loader's retry policy treats the injected error as transient (it is
 in ``TRANSIENT_ERRORS``), backs off, and replays the batch — which is
@@ -58,25 +58,18 @@ class ArchiveFaultInjector:
 
 
 class ChaosDatabase:
-    """Transparent Database proxy with fault-injected transactions.
+    """Transparent database proxy with fault-injected transactions.
 
-    Everything except :meth:`transaction` delegates to the wrapped
-    backend.  Nested transactions join the outermost one (mirroring the
-    backends' semantics), so only outermost entries count as attempts —
-    the unit the loader retries.
+    Everything except :meth:`transaction` (``TRANSIENT_ERRORS`` too)
+    delegates to the wrapped database.  Nested transactions join the
+    outermost one (mirroring its semantics), so only outermost entries
+    count as attempts — the unit the loader retries.
     """
 
     def __init__(self, inner, injector: ArchiveFaultInjector):
         self._inner = inner
         self._injector = injector
         self._depth = 0
-        # the injected error must be retryable even over a backend (like
-        # MemoryDatabase) that never raises it on its own
-        self.TRANSIENT_ERRORS = tuple(
-            dict.fromkeys(
-                tuple(inner.TRANSIENT_ERRORS) + (sqlite3.OperationalError,)
-            )
-        )
 
     @contextmanager
     def transaction(self) -> Iterator["ChaosDatabase"]:

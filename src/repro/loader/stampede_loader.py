@@ -275,8 +275,6 @@ class StampedeLoader:
         strict: bool = True,
         validate: bool = False,
         checkpoint: Optional[CheckpointManager] = None,
-        max_retries: int = 4,
-        retry_delay: float = 0.05,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         metrics: Optional[Any] = None,
@@ -288,17 +286,8 @@ class StampedeLoader:
         self.batch_size = batch_size
         self.strict = strict
         self.checkpoint = checkpoint
-        self.max_retries = max_retries
-        self.retry_delay = retry_delay
-        # max_retries/retry_delay remain as the simple knobs; a full
-        # RetryPolicy overrides them (uncapped 'none' jitter reproduces
-        # the historical base * 2**n ladder exactly)
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_retries=max_retries,
-            base_delay=retry_delay,
-            max_delay=float("inf"),
-            jitter="none",
-        )
+        # default ladder: 4 retries at 50, 100, 200, 400 ms, no jitter
+        self.retry_policy = retry_policy or RetryPolicy(max_retries=4, base_delay=0.05)
         #: optional circuit breaker shared with other archive writers
         self.breaker = breaker
         self.stats = LoaderStats()

@@ -1,6 +1,6 @@
-"""Mini object-relational layer (SQLAlchemy substitute): sqlite + memory."""
+"""Mini object-relational layer (SQLAlchemy substitute) over sqlite."""
 from repro.orm.columns import Boolean, Column, ColumnType, Integer, Real, Text
-from repro.orm.database import Database, MemoryDatabase, SqliteDatabase, connect
+from repro.orm.database import SqliteDatabase, connect
 from repro.orm.query import Predicate, Query
 from repro.orm.table import Table
 
@@ -11,8 +11,6 @@ __all__ = [
     "Integer",
     "Real",
     "Text",
-    "Database",
-    "MemoryDatabase",
     "SqliteDatabase",
     "connect",
     "Predicate",

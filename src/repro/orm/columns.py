@@ -1,9 +1,9 @@
 """Column and type metadata for the mini object-relational layer.
 
 The Stampede loader used SQLAlchemy to target SQLite/MySQL/PostgreSQL; the
-reproduction ships its own small metadata layer with two backends (sqlite3
-and pure-memory).  Types convert between Python values and storage values
-and carry enough DDL info for sqlite.
+reproduction ships its own small metadata layer over sqlite3.  Types
+convert between Python values and storage values and carry enough DDL
+info for sqlite.
 """
 from __future__ import annotations
 

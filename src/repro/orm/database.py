@@ -1,18 +1,17 @@
-"""Database backends for the mini-ORM: sqlite3 and pure-memory.
+"""The database backend of the mini-ORM: sqlite3.
 
 Connection strings follow the SQLAlchemy convention the paper's loader
 used on its command line::
 
     sqlite:///test.db      -> sqlite file
     sqlite:///:memory:     -> sqlite in memory
-    memory://              -> pure-Python dict backend
 
-Both backends expose explicit transaction scoping via
-:meth:`Database.transaction`: statements issued inside the context
-manager commit (or roll back) as one unit, which is what lets the
-loader turn a batch of inserts plus its coalesced updates into a single
-fsync on the file backend.  Outside a transaction each statement
-auto-commits, preserving the original per-statement durability.
+:meth:`SqliteDatabase.transaction` scopes statements explicitly:
+everything issued inside the context manager commits (or rolls back) as
+one unit, which is what lets the loader turn a batch of inserts plus
+its coalesced updates into a single fsync on a file database.  Outside
+a transaction each statement auto-commits, preserving the original
+per-statement durability.
 """
 from __future__ import annotations
 
@@ -24,27 +23,53 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 from repro.orm.query import Query
 from repro.orm.table import Table
 
-__all__ = ["Database", "SqliteDatabase", "MemoryDatabase", "connect"]
+__all__ = ["SqliteDatabase", "connect"]
 
 
-class Database:
-    """Abstract backend: DDL, inserts (single + executemany), query, count.
+class SqliteDatabase:
+    """sqlite3-backed storage; thread-safe via a reentrant connection lock.
 
-    Backends share a per-connection **max-id cache**: the first
+    File-backed databases run in WAL mode with NORMAL synchronous and a
+    generous page cache — the tuning the high-rate loader path needs.
+    The connection runs in autocommit mode; :meth:`transaction` issues
+    explicit BEGIN IMMEDIATE / COMMIT / ROLLBACK and holds the lock for
+    the whole scope, so a loader flush is one write transaction even
+    with reader threads around.
+
+    Each connection keeps a **max-id cache**: the first
     :meth:`max_value` call per (table, column) runs the real aggregate
-    (an SQL round-trip, or an O(n) scan on the memory backend) and
-    subsequent calls are O(1) dict hits, kept current by the insert
+    and subsequent calls are O(1) dict hits, kept current by the insert
     paths.  Without it, every component that seeds a surrogate-key
     sequence over the same connection (archive sequences, the loader
     DLQ, checkpoint recovery) re-derives the maximum from scratch.
     """
 
     #: Exception types a caller may treat as transient and retry.
-    TRANSIENT_ERRORS: tuple = ()
+    TRANSIENT_ERRORS = (sqlite3.OperationalError,)
 
-    def __init__(self):
+    def __init__(self, path: str = ":memory:"):
         # (table_name, column_name) -> current max (never None once set)
         self._max_cache: Dict[tuple, Any] = {}
+        self.path = path
+        # isolation_level=None -> autocommit; transactions are explicit.
+        self._conn = sqlite3.connect(
+            path, check_same_thread=False, isolation_level=None
+        )
+        self._lock = threading.RLock()
+        self._txn_depth = 0
+        # SQL text cache: building INSERT/UPDATE strings per call is pure
+        # Python overhead on the hot insert path; statements are keyed by
+        # (kind, table, column names) and reused forever.
+        self._stmt_cache: Dict[tuple, str] = {}
+        self._apply_pragmas()
+
+    def _apply_pragmas(self) -> None:
+        cur = self._conn.cursor()
+        if self.path not in (":memory:", ""):
+            cur.execute("PRAGMA journal_mode=WAL")
+            cur.execute("PRAGMA synchronous=NORMAL")
+        cur.execute("PRAGMA temp_store=MEMORY")
+        cur.execute("PRAGMA cache_size=-65536")  # 64 MiB page cache
 
     # -- max-id cache maintenance -----------------------------------------
     def _bump_max_cache(self, table: Table, rows: Iterable[Dict[str, Any]]) -> None:
@@ -70,98 +95,12 @@ class Database:
             for key in [k for k in self._max_cache if k[0] == table_name]:
                 del self._max_cache[key]
 
-    def create_tables(self, tables: Sequence[Table]) -> None:
-        raise NotImplementedError
-
-    def insert(self, table: Table, row: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def insert_many(self, table: Table, rows: Iterable[Dict[str, Any]]) -> int:
-        raise NotImplementedError
-
-    def select(self, query: Query) -> List[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def update(
-        self,
-        table: Table,
-        values: Dict[str, Any],
-        where: Dict[str, Any],
-    ) -> int:
-        raise NotImplementedError
-
-    def delete(self, table: Table, where: Dict[str, Any]) -> int:
-        """Delete rows matching ``where`` (a list/tuple/set value means IN).
-
-        Returns the number of rows removed.  The tiering migration is the
-        intended caller: it moves finished workflows out of a hot shard,
-        so deletes are whole-tree, cold-path operations — no statement
-        cache, and cached maxima for the table are simply dropped.
-        """
-        raise NotImplementedError
-
-    def count(self, table: Table) -> int:
-        raise NotImplementedError
-
-    def count_where(self, query: Query) -> int:
-        """COUNT(*) of the rows matching the query's predicates."""
-        raise NotImplementedError
-
-    def max_value(self, table: Table, column: str) -> Optional[Any]:
-        """MAX(column) over the table, or None if the table is empty."""
-        raise NotImplementedError
-
-    @contextmanager
-    def transaction(self) -> Iterator["Database"]:
-        """Scope a group of statements into one atomic commit.
-
-        Nested calls join the outermost transaction.  The base
-        implementation is a no-op for backends without durability.
-        """
-        yield self
-
-    def close(self) -> None:  # pragma: no cover - default no-op
-        pass
-
-
-class SqliteDatabase(Database):
-    """sqlite3-backed storage; thread-safe via a reentrant connection lock.
-
-    File-backed databases run in WAL mode with NORMAL synchronous and a
-    generous page cache — the tuning the high-rate loader path needs.
-    The connection runs in autocommit mode; :meth:`transaction` issues
-    explicit BEGIN IMMEDIATE / COMMIT / ROLLBACK and holds the lock for
-    the whole scope, so a loader flush is one write transaction even
-    with reader threads around.
-    """
-
-    TRANSIENT_ERRORS = (sqlite3.OperationalError,)
-
-    def __init__(self, path: str = ":memory:"):
-        super().__init__()
-        self.path = path
-        # isolation_level=None -> autocommit; transactions are explicit.
-        self._conn = sqlite3.connect(
-            path, check_same_thread=False, isolation_level=None
-        )
-        self._lock = threading.RLock()
-        self._txn_depth = 0
-        # SQL text cache: building INSERT/UPDATE strings per call is pure
-        # Python overhead on the hot insert path; statements are keyed by
-        # (kind, table, column names) and reused forever.
-        self._stmt_cache: Dict[tuple, str] = {}
-        self._apply_pragmas()
-
-    def _apply_pragmas(self) -> None:
-        cur = self._conn.cursor()
-        if self.path not in (":memory:", ""):
-            cur.execute("PRAGMA journal_mode=WAL")
-            cur.execute("PRAGMA synchronous=NORMAL")
-        cur.execute("PRAGMA temp_store=MEMORY")
-        cur.execute("PRAGMA cache_size=-65536")  # 64 MiB page cache
-
     @contextmanager
     def transaction(self) -> Iterator["SqliteDatabase"]:
+        """Scope a group of statements into one atomic commit.
+
+        Nested calls join the outermost transaction.
+        """
         with self._lock:
             self._txn_depth += 1
             outermost = self._txn_depth == 1
@@ -255,26 +194,24 @@ class SqliteDatabase(Database):
             return cur.rowcount
 
     def delete(self, table: Table, where: Dict[str, Any]) -> int:
-        clauses: List[str] = []
-        params: List[Any] = []
+        """Delete rows matching ``where`` (a list/tuple/set value means IN).
+
+        Returns the number of rows removed.  The tiering migration is the
+        intended caller: it moves finished workflows out of a hot shard,
+        so deletes are whole-tree, cold-path operations — no statement
+        cache, and cached maxima for the table are simply dropped.
+        """
+        query = Query(table)
         for name, value in where.items():
-            column = table.by_name[name]
             if isinstance(value, (list, tuple, set, frozenset)):
-                stored = [column.type.to_storage(v) for v in value]
-                if not stored:
+                if not value:
                     return 0  # IN () matches nothing
-                clauses.append(
-                    f"{name} IN ({', '.join('?' for _ in stored)})"
-                )
-                params.extend(stored)
+                query.where(name, "in", value)
             else:
-                clauses.append(f"{name} = ?")
-                params.append(column.type.to_storage(value))
-        sql = f"DELETE FROM {table.name}" + (
-            " WHERE " + " AND ".join(clauses) if clauses else ""
-        )
+                query.eq(name, value)
+        clause, params = query.where_sql()
         with self._lock:
-            cur = self._conn.execute(sql, params)
+            cur = self._conn.execute(f"DELETE FROM {table.name}{clause}", params)
             if cur.rowcount:
                 self._drop_max_cache(table.name)
             return cur.rowcount
@@ -285,12 +222,14 @@ class SqliteDatabase(Database):
         return int(n)
 
     def count_where(self, query: Query) -> int:
+        """COUNT(*) of the rows matching the query's predicates."""
         sql, params = query.to_count_sql()
         with self._lock:
             (n,) = self._conn.execute(sql, params).fetchone()
         return int(n)
 
     def max_value(self, table: Table, column: str) -> Optional[Any]:
+        """MAX(column) over the table, or None if the table is empty."""
         if column not in table.by_name:
             raise ValueError(f"no column {column!r} in table {table.name!r}")
         key = (table.name, column)
@@ -315,189 +254,10 @@ class SqliteDatabase(Database):
             self._conn.close()
 
 
-class MemoryDatabase(Database):
-    """Pure-Python backend: rows are dicts in per-table lists.
-
-    ``transaction`` only provides grouping semantics (no rollback): the
-    backend has no durability to protect, and snapshotting every table
-    per batch would defeat its purpose as the fast in-process store.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._tables: Dict[str, List[Dict[str, Any]]] = {}
-        self._meta: Dict[str, Table] = {}
-        self._lock = threading.RLock()
-        # primary-key index: table name -> {stored pk value -> row dict}.
-        # update() by exact pk — the loader's dominant write shape — becomes
-        # one dict hit instead of a full-table scan.  Tables where a pk
-        # value repeats (uniqueness is not enforced here) drop to scans.
-        self._pk_index: Dict[str, Dict[Any, Dict[str, Any]]] = {}
-        self._pk_degraded: set = set()
-
-    def _index_row(self, table: Table, row: Dict[str, Any]) -> None:
-        pk = table.primary_key
-        if pk is None or table.name in self._pk_degraded:
-            return
-        value = row.get(pk.name)
-        if value is None:
-            return
-        index = self._pk_index.setdefault(table.name, {})
-        if value in index:
-            self._pk_degraded.add(table.name)
-            del self._pk_index[table.name]
-        else:
-            index[value] = row
-
-    @contextmanager
-    def transaction(self) -> Iterator["MemoryDatabase"]:
-        with self._lock:
-            yield self
-
-    def create_tables(self, tables: Sequence[Table]) -> None:
-        with self._lock:
-            for table in tables:
-                self._tables.setdefault(table.name, [])
-                self._meta[table.name] = table
-
-    def _require(self, table: Table) -> List[Dict[str, Any]]:
-        if table.name not in self._tables:
-            raise KeyError(f"table {table.name!r} does not exist (create_tables first)")
-        return self._tables[table.name]
-
-    def insert(self, table: Table, row: Dict[str, Any]) -> None:
-        coerced = table.coerce_row(row)
-        with self._lock:
-            self._require(table).append(coerced)
-            self._index_row(table, coerced)
-            self._bump_max_cache(table, (coerced,))
-
-    def insert_many(self, table: Table, rows: Iterable[Dict[str, Any]]) -> int:
-        coerced = [table.coerce_row(r) for r in rows]
-        with self._lock:
-            self._require(table).extend(coerced)
-            for row in coerced:
-                self._index_row(table, row)
-            self._bump_max_cache(table, coerced)
-        return len(coerced)
-
-    def select(self, query: Query) -> List[Dict[str, Any]]:
-        with self._lock:
-            rows = list(self._require(query.table))
-        stored = query.apply(rows)
-        cols = query.table.columns
-        return [
-            {c.name: c.type.from_storage(r.get(c.name)) for c in cols} for r in stored
-        ]
-
-    def update(
-        self, table: Table, values: Dict[str, Any], where: Dict[str, Any]
-    ) -> int:
-        stored_values = {
-            n: table.by_name[n].type.to_storage(v) for n, v in values.items()
-        }
-        stored_where = {
-            n: table.by_name[n].type.to_storage(v) for n, v in where.items()
-        }
-        changed = 0
-        pk = table.primary_key
-        with self._lock:
-            rows = self._require(table)
-            target_rows: Iterable[Dict[str, Any]] = rows
-            # exact-pk updates resolve through the index: one dict hit
-            # instead of scanning the table per call.
-            if (
-                pk is not None
-                and len(stored_where) == 1
-                and pk.name in stored_where
-                and stored_where[pk.name] is not None
-                and table.name not in self._pk_degraded
-            ):
-                hit = self._pk_index.get(table.name, {}).get(
-                    stored_where[pk.name]
-                )
-                target_rows = (hit,) if hit is not None else ()
-            for row in target_rows:
-                if all(row.get(n) == v for n, v in stored_where.items()):
-                    if pk is not None and pk.name in stored_values:
-                        # rewriting the key itself invalidates the index
-                        self._pk_degraded.add(table.name)
-                        self._pk_index.pop(table.name, None)
-                    row.update(stored_values)
-                    changed += 1
-            if changed and any(
-                (table.name, n) in self._max_cache for n in stored_values
-            ):
-                self._drop_max_cache(table.name)
-        return changed
-
-    def delete(self, table: Table, where: Dict[str, Any]) -> int:
-        stored: Dict[str, Any] = {}
-        for name, value in where.items():
-            column = table.by_name[name]
-            if isinstance(value, (list, tuple, set, frozenset)):
-                stored[name] = frozenset(
-                    column.type.to_storage(v) for v in value
-                )
-            else:
-                stored[name] = column.type.to_storage(value)
-
-        def matches(row: Dict[str, Any]) -> bool:
-            for name, value in stored.items():
-                if isinstance(value, frozenset):
-                    if row.get(name) not in value:
-                        return False
-                elif row.get(name) != value:
-                    return False
-            return True
-
-        with self._lock:
-            rows = self._require(table)
-            keep = [r for r in rows if not matches(r)]
-            removed = len(rows) - len(keep)
-            if removed:
-                self._tables[table.name] = keep
-                # rebuild the pk index: a delete may clear the duplicate
-                # that degraded it, so start clean and re-derive
-                self._pk_index.pop(table.name, None)
-                self._pk_degraded.discard(table.name)
-                for row in keep:
-                    self._index_row(table, row)
-                self._drop_max_cache(table.name)
-        return removed
-
-    def count(self, table: Table) -> int:
-        with self._lock:
-            return len(self._require(table))
-
-    def count_where(self, query: Query) -> int:
-        with self._lock:
-            rows = list(self._require(query.table))
-        return sum(
-            1 for r in rows if all(p.evaluate(r) for p in query.predicates)
-        )
-
-    def max_value(self, table: Table, column: str) -> Optional[Any]:
-        if column not in table.by_name:
-            raise ValueError(f"no column {column!r} in table {table.name!r}")
-        key = (table.name, column)
-        with self._lock:
-            if key in self._max_cache:
-                return self._max_cache[key]
-            rows = self._require(table)
-            values = [r.get(column) for r in rows if r.get(column) is not None]
-            value = max(values) if values else None
-            self._max_cache[key] = value
-        return value
-
-
-def connect(conn_string: str) -> Database:
-    """Open a backend from a SQLAlchemy-style connection string."""
+def connect(conn_string: str) -> SqliteDatabase:
+    """Open a database from a SQLAlchemy-style connection string."""
     if conn_string.startswith("sqlite:///"):
         return SqliteDatabase(conn_string[len("sqlite:///") :] or ":memory:")
-    if conn_string in ("memory://", "memory"):
-        return MemoryDatabase()
     raise ValueError(
-        f"unsupported connection string {conn_string!r}; "
-        "use 'sqlite:///PATH' or 'memory://'"
+        f"unsupported connection string {conn_string!r}; use 'sqlite:///PATH'"
     )

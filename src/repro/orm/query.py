@@ -1,36 +1,18 @@
-"""Backend-neutral query builder.
+"""Declarative query builder.
 
-A :class:`Query` is a declarative description — table, predicates, ordering,
-limit — that each backend executes its own way: the sqlite backend compiles
-it to parameterized SQL, the memory backend evaluates predicates in Python.
-Only the operators the Stampede tools need are implemented.
+A :class:`Query` is a description — table, predicates, ordering, limit —
+that the database compiles to parameterized SQL.  Only the operators the
+Stampede tools need are implemented.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.orm.table import Table
 
 __all__ = ["Query", "Predicate"]
 
-_OPS: Dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a is not None and a < b,
-    "<=": lambda a, b: a is not None and a <= b,
-    ">": lambda a, b: a is not None and a > b,
-    ">=": lambda a, b: a is not None and a >= b,
-    "like": lambda a, b: a is not None and _like(a, b),
-    "in": lambda a, b: a in b,
-}
-
-
-def _like(value: str, pattern: str) -> bool:
-    """SQL LIKE with % and _ wildcards (case-insensitive, as sqlite defaults)."""
-    import re
-
-    regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-    return re.fullmatch(regex, str(value), re.IGNORECASE | re.DOTALL) is not None
+_OPS = frozenset({"=", "!=", "<", "<=", ">", ">=", "like", "in"})
 
 
 class Predicate:
@@ -42,9 +24,6 @@ class Predicate:
         self.column = column
         self.op = op
         self.value = value
-
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        return _OPS[self.op](row.get(self.column), self.value)
 
     def to_sql(self) -> Tuple[str, List[Any]]:
         if self.op == "in":
@@ -98,17 +77,24 @@ class Query:
         clone.offset_count = self.offset_count
         return clone
 
-    # -- sqlite compilation -----------------------------------------------------
+    # -- SQL compilation ------------------------------------------------------
+    def where_sql(self) -> Tuple[str, List[Any]]:
+        """The `` WHERE ...`` suffix (empty without predicates) + its params."""
+        if not self.predicates:
+            return "", []
+        clauses, params = [], []
+        for pred in self.predicates:
+            clause, vals = pred.to_sql()
+            clauses.append(clause)
+            params.extend(vals)
+        return " WHERE " + " AND ".join(clauses), params
+
     def to_sql(self) -> Tuple[str, List[Any]]:
-        sql = f"SELECT {', '.join(self.table.column_names())} FROM {self.table.name}"
-        params: List[Any] = []
-        if self.predicates:
-            clauses = []
-            for pred in self.predicates:
-                clause, vals = pred.to_sql()
-                clauses.append(clause)
-                params.extend(vals)
-            sql += " WHERE " + " AND ".join(clauses)
+        where, params = self.where_sql()
+        sql = (
+            f"SELECT {', '.join(self.table.column_names())} "
+            f"FROM {self.table.name}{where}"
+        )
         if self.order:
             terms = [f"{c} {'DESC' if d else 'ASC'}" for c, d in self.order]
             sql += " ORDER BY " + ", ".join(terms)
@@ -119,34 +105,5 @@ class Query:
 
     def to_count_sql(self) -> Tuple[str, List[Any]]:
         """Compile to SELECT COUNT(*) over the predicates (no order/limit)."""
-        sql = f"SELECT COUNT(*) FROM {self.table.name}"
-        params: List[Any] = []
-        if self.predicates:
-            clauses = []
-            for pred in self.predicates:
-                clause, vals = pred.to_sql()
-                clauses.append(clause)
-                params.extend(vals)
-            sql += " WHERE " + " AND ".join(clauses)
-        return sql, params
-
-    # -- memory evaluation ---------------------------------------------------------
-    def apply(self, rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        out = [r for r in rows if all(p.evaluate(r) for p in self.predicates)]
-        # Stable multi-key sort: apply keys in reverse significance order.
-        for column, descending in reversed(self.order):
-            out.sort(key=lambda r: _sort_key(r.get(column)), reverse=descending)
-        if self.limit_count is not None:
-            out = out[self.offset_count : self.offset_count + self.limit_count]
-        elif self.offset_count:
-            out = out[self.offset_count :]
-        return out
-
-
-def _sort_key(value: Any) -> Tuple[int, Any]:
-    """None sorts first, then type-grouped values (mirrors sqlite NULL order)."""
-    if value is None:
-        return (0, 0)
-    if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, str(value))
+        where, params = self.where_sql()
+        return f"SELECT COUNT(*) FROM {self.table.name}{where}", params

@@ -20,19 +20,19 @@ from repro.archive.tier import LongTermStore, tier_finished
 from repro.core.dashboard import DashboardData
 from repro.core.statistics import workflow_statistics
 from repro.model.entities import JobRow, WorkflowRow, WorkflowStateRow
-from repro.orm import MemoryDatabase
 from repro.query.api import StampedeQuery
 from repro.schema.stampede import Events
 
 from tests.archive.test_shard import ROOT_UUIDS, load_single, workload_events
+from tests.helpers import STORAGE_MODES, sqlite_path
 
 
 @pytest.fixture(scope="class")
 def parity():
-    """One workload loaded twice: single archive and 4 memory shards."""
+    """One workload loaded twice: single archive and 4 in-memory shards."""
     events = workload_events()
     single = load_single(events)
-    shard_set = ShardSet.create(None, 4, backend="memory")
+    shard_set = ShardSet.create(None, 4)
     sharded = ShardedLoader(shard_set, batch_size=50)
     sharded.process_all(events)
     sharded.close()
@@ -235,14 +235,13 @@ class TestTiering:
 
 
 class TestArchiveDelete:
-    """The ORM delete surface tiering is built on, both backends."""
+    """The ORM delete surface tiering is built on."""
 
-    @pytest.fixture(params=["sqlite", "memory"])
-    def archive(self, request):
-        if request.param == "sqlite":
-            a = StampedeArchive.open("sqlite:///:memory:")
-        else:
-            a = StampedeArchive(MemoryDatabase())
+    @pytest.fixture(params=STORAGE_MODES)
+    def archive(self, request, tmp_path):
+        a = StampedeArchive.open(
+            "sqlite:///" + sqlite_path(request.param, tmp_path)
+        )
         for i in range(1, 5):
             a.insert(WorkflowRow(wf_id=i, wf_uuid=f"u-{i}", dag_file_name="d.dag"))
         yield a

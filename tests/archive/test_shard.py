@@ -57,8 +57,21 @@ def workload_events():
     return events
 
 
+def load_sharded_and_single(tmp_path):
+    """The workload through ``nl-load`` twice: into a 2-shard directory
+    and into one archive file.  Returns the two specs a read CLI takes."""
+    from repro.loader.nl_load import main as nl_main
+
+    bp = tmp_path / "run.bp"
+    write_events(bp, workload_events())
+    shards, single = str(tmp_path / "shards"), f"sqlite:///{tmp_path / 'single.db'}"
+    nl_main([str(bp), "--shard-dir", shards, "--shards", "2"])
+    nl_main([str(bp), "stampede_loader", f"connString={single}"])
+    return shards, single
+
+
 def load_single(events):
-    loader = make_loader("memory://", batch_size=50)
+    loader = make_loader(batch_size=50)
     for event in events:
         loader.process(event)
     loader.flush()
@@ -153,16 +166,13 @@ class TestManifest:
         with pytest.raises(ShardError):
             ShardSet.create(tmp_path / "s", 0)
         with pytest.raises(ShardError):
-            ShardSet.create(tmp_path / "s", 2, backend="postgres")
-        with pytest.raises(ShardError):
-            ShardSet.create(tmp_path / "s", 2, backend="memory")
-        with pytest.raises(ShardError):
-            ShardSet.create(None, 2)
+            ShardSet.create(None, 0)
 
     def test_memory_backend_is_anonymous(self):
-        shard_set = ShardSet.create(None, 4, backend="memory")
+        shard_set = ShardSet.create(None, 4)
         assert shard_set.directory is None and len(shard_set) == 4
         assert shard_set.longterm_dir() is None
+        assert {a.db.path for a in shard_set.archives} == {":memory:"}
         shard_set.close()
 
 
@@ -175,7 +185,7 @@ class TestOpenArchive:
 
     def test_plain_path_and_conn_string_stay_single(self, tmp_path):
         for spec in (str(tmp_path / "run.db"), f"sqlite:///{tmp_path/'x.db'}",
-                     "memory://"):
+                     "sqlite:///:memory:"):
             archive = open_archive(spec)
             assert isinstance(archive, StampedeArchive)
             archive.close()
@@ -201,7 +211,7 @@ class TestShardedLoader:
         single = load_single(events)
         expected = canonical_dump(single)
 
-        shard_set = ShardSet.create(None, 4, backend="memory")
+        shard_set = ShardSet.create(None, 4)
         sharded = ShardedLoader(shard_set, batch_size=50, chunk_size=16)
         sharded.process_all(events)
         sharded.close()
@@ -222,7 +232,7 @@ class TestShardedLoader:
         shard_set.close()
 
     def test_close_is_idempotent_and_flushes(self):
-        shard_set = ShardSet.create(None, 2, backend="memory")
+        shard_set = ShardSet.create(None, 2)
         sharded = ShardedLoader(shard_set, batch_size=500)
         for event in diamond_events():
             sharded.process(event)
@@ -232,7 +242,7 @@ class TestShardedLoader:
         shard_set.close()
 
     def test_resume_without_checkpoint_source_refuses(self):
-        shard_set = ShardSet.create(None, 2, backend="memory")
+        shard_set = ShardSet.create(None, 2)
         sharded = ShardedLoader(shard_set)
         with pytest.raises(ShardError, match="checkpoint_source"):
             sharded.resume()
@@ -292,7 +302,7 @@ class TestShardedLoader:
         write_events(path, events)
         single = load_single(events)
 
-        shard_set = ShardSet.create(None, 4, backend="memory")
+        shard_set = ShardSet.create(None, 4)
         sharded = ShardedLoader(shard_set, batch_size=50)
         load_file(path, sharded)
         sharded.close()

@@ -11,15 +11,13 @@ from repro.model.entities import (
     WorkflowRow,
     WorkflowStateRow,
 )
-from repro.orm import MemoryDatabase
+
+from tests.helpers import STORAGE_MODES, sqlite_path
 
 
-@pytest.fixture(params=["sqlite", "memory"])
-def archive(request):
-    if request.param == "sqlite":
-        a = StampedeArchive.open("sqlite:///:memory:")
-    else:
-        a = StampedeArchive(MemoryDatabase())
+@pytest.fixture(params=STORAGE_MODES)
+def archive(request, tmp_path):
+    a = StampedeArchive.open("sqlite:///" + sqlite_path(request.param, tmp_path))
     yield a
     a.close()
 

@@ -105,3 +105,23 @@ class TestAnalyzeHierarchy:
         rc = main([f"sqlite:///{db}"])
         assert rc == 0
         assert "succeeded" in capsys.readouterr().out
+
+
+class TestAnalyzerOverShards:
+    def test_shard_directory_reads_like_the_single_archive(self, tmp_path, capsys):
+        from repro.archive.shard import shard_for
+        from repro.core.analyzer import main
+
+        from tests.archive.test_shard import ROOT_UUIDS, load_sharded_and_single
+
+        assert {shard_for(u, 2) for u in ROOT_UUIDS} == {0, 1}
+        shards, single = load_sharded_and_single(tmp_path)
+        capsys.readouterr()
+        exit_codes = set()
+        for uuid in ROOT_UUIDS:  # every third one has a failed job
+            rc_single = main([single, "--wf-uuid", uuid])
+            out_single = capsys.readouterr().out
+            rc_sharded = main([shards, "--wf-uuid", uuid])
+            assert (rc_sharded, capsys.readouterr().out) == (rc_single, out_single)
+            exit_codes.add(rc_sharded)
+        assert exit_codes == {0, 1}

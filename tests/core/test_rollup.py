@@ -295,7 +295,7 @@ class TestShardedAndTiered:
     def test_sharded_load_verifies_per_shard(self):
         from repro.archive.shard import ShardSet, ShardedLoader
 
-        shard_set = ShardSet.create(None, 4, backend="memory")
+        shard_set = ShardSet.create(None, 4)
         loader = ShardedLoader(shard_set, batch_size=10)
         loader.process_all(self._workload())
         loader.close()

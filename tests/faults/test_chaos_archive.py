@@ -43,8 +43,8 @@ class TestChaosDatabase:
         assert plan.stats.archive_faults == 1
 
     def test_failure_raised_before_any_statement_runs(self):
-        # entry-time injection: the wrapped backend never opens the failed
-        # transaction, so even a no-rollback backend stays consistent
+        # entry-time injection, like a BEGIN IMMEDIATE that cannot take the
+        # write lock: the wrapped database never opens the failed transaction
         archive, plan = chaos_archive(fail_transactions=[1])
         inner_txns = []
         original = archive.db._inner.transaction
@@ -69,7 +69,7 @@ class TestChaosDatabase:
     def test_delegates_everything_else(self):
         archive, _ = chaos_archive()
         assert isinstance(archive.db, ChaosDatabase)
-        # attribute delegation reaches the inner backend untouched
+        # attribute delegation reaches the inner database untouched
         assert archive.db.count.__self__ is archive.db._inner
 
     def test_error_rate_is_seed_deterministic(self):

@@ -17,6 +17,16 @@ from repro.schema.stampede import Events
 
 XWF = "11111111-2222-4333-8444-555555555555"
 
+#: fixture matrix of the database/archive unit tests — the two storage
+#: modes of the sqlite backend: "sqlite" is a WAL file under tmp_path
+#: (what every CLI writes), "memory" is sqlite's ``:memory:`` (anonymous
+#: shard sets, the long-term tier's reader)
+STORAGE_MODES = ["sqlite", "memory"]
+
+
+def sqlite_path(mode: str, tmp_path: Path) -> str:
+    return ":memory:" if mode == "memory" else str(tmp_path / "unit.db")
+
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -5,13 +5,16 @@ import os
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
+from repro.archive import ALL_TABLES
 from repro.archive.merge import canonical_dump, diff_canonical
 from repro.archive.store import StampedeArchive
 from repro.bus.broker import DEAD_LETTER_QUEUE, Broker
 from repro.bus.client import EventPublisher
+from repro.core.rollup import verify_rollups
 from repro.faults import FaultPlan
 from repro.loader import (
     DeadLetterQueue,
@@ -21,10 +24,12 @@ from repro.loader import (
     load_from_bus,
     make_loader,
 )
+from repro.loader.checkpoint import CheckpointManager
 from repro.loader.dlq import DLQ_TABLE
 from repro.loader.stampede_loader import StampedeLoader
 from repro.util.retry import RetryPolicy
 
+from tests.archive.test_shard import workload_events
 from tests.bus.test_net import wait_until, wire_events
 from tests.helpers import diamond_events
 from tests.loader.test_checkpoint_resume import dump_archive
@@ -279,3 +284,80 @@ class TestDegradedMode:
                 broker, queue_name=QUEUE, durable=True, loader=loader,
                 spill=spill,
             )
+
+
+class FailAtCommit:
+    """Database proxy whose Nth flush fails *after* its statements ran —
+    a commit-time "database is locked" — so the transaction underneath
+    has rows to roll back (``ChaosDatabase`` only fails at entry)."""
+
+    def __init__(self, inner, fail_attempt):
+        self._inner = inner
+        self._fail_attempt = fail_attempt
+        self.attempts = 0
+        self.uncommitted_rows = 0  # rows the failed attempt had written
+
+    def _rows(self):
+        return sum(self._inner.count(table) for table in ALL_TABLES)
+
+    @contextmanager
+    def transaction(self):
+        with self._inner.transaction():
+            # nested scopes (archive.insert_many) join the flush's own
+            outermost = self._inner._txn_depth == 1
+            before = self._rows() if outermost else 0
+            yield self
+            if outermost:
+                self.attempts += 1
+                if self.attempts == self._fail_attempt:
+                    self.uncommitted_rows = self._rows() - before
+                    raise sqlite3.OperationalError(
+                        "database is locked [injected at commit]"
+                    )
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestMidTransactionFailure:
+    """A flush that dies after its inserts, updates, rollup deltas and
+    checkpoint row were written must roll all of them back and replay
+    the batch exactly once."""
+
+    @staticmethod
+    def checkpointed_load(events, fail_attempt=None):
+        archive = StampedeArchive.open("sqlite:///:memory:")
+        if fail_attempt is not None:
+            archive.db = FailAtCommit(archive.db, fail_attempt)
+        loader = StampedeLoader(
+            archive,
+            batch_size=50,
+            checkpoint=CheckpointManager(archive, "stream"),
+            retry_policy=RetryPolicy(max_retries=2, base_delay=0.0, max_delay=0.0),
+        )
+        for position, event in enumerate(events, start=1):
+            loader.position = position
+            loader.process(event)
+        loader.flush()
+        return loader
+
+    def test_rolled_back_flush_replays_exactly_once(self):
+        events = workload_events()
+        clean = self.checkpointed_load(events)
+        # the third flush is mid-stream: it carries inserts, coalesced
+        # updates of rows from earlier batches, and rollup increments
+        failed = self.checkpointed_load(events, fail_attempt=3)
+
+        assert failed.archive.db.uncommitted_rows > 0  # it really ran
+        assert failed.stats.retries == 1
+        assert failed.stats.flushes == clean.stats.flushes
+        assert failed.stats.rows_inserted == clean.stats.rows_inserted
+        assert failed.stats.rows_updated == clean.stats.rows_updated
+        assert diff_canonical(
+            canonical_dump(clean.archive), canonical_dump(failed.archive)
+        ) == []
+        assert verify_rollups(failed.archive) == []
+        want = clean.checkpoint.load()
+        got = failed.checkpoint.load()
+        assert got.position == want.position == len(events)
+        assert got.state == want.state

@@ -8,8 +8,6 @@ and the insert-path caches the loader leans on.
 ids; the pool itself — ``--workers`` and friends — was deleted because
 no measurement showed it winning, see docs/loader.md.)
 """
-import random
-
 import pytest
 
 from repro.archive.store import StampedeArchive
@@ -20,7 +18,6 @@ from repro.netlogger.stream import write_events
 from repro.orm import (
     Column,
     Integer,
-    MemoryDatabase,
     SqliteDatabase,
     Table,
     Text,
@@ -29,7 +26,7 @@ from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.triana.appender import MemoryAppender
 from repro.workloads import cybershake
 
-from tests.helpers import diamond_events
+from tests.helpers import STORAGE_MODES, diamond_events, sqlite_path
 from tests.integration.test_chaos_pipeline import QUEUE, baseline_run, bind_queue
 from tests.loader.test_checkpoint_resume import dump_archive
 
@@ -141,7 +138,7 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# insert-path caches: max-id cache + memory pk index
+# insert-path caches: the max-id cache
 # ---------------------------------------------------------------------------
 
 def _table():
@@ -154,14 +151,11 @@ def _table():
     )
 
 
-@pytest.fixture(params=["sqlite", "memory"])
-def cache_db(request):
-    if request.param == "sqlite":
-        database = SqliteDatabase(":memory:")
-        yield database
-        database.close()
-    else:
-        yield MemoryDatabase()
+@pytest.fixture(params=STORAGE_MODES)
+def cache_db(request, tmp_path):
+    database = SqliteDatabase(sqlite_path(request.param, tmp_path))
+    yield database
+    database.close()
 
 
 class TestInsertPathCaches:
@@ -197,40 +191,3 @@ class TestInsertPathCaches:
         # the rolled-back row must not linger in the cache
         assert database.max_value(table, "id") == 1
         database.close()
-
-    def test_memory_update_by_pk_uses_index(self, cache_db):
-        table = _table()
-        cache_db.create_tables([table])
-        rows = [{"id": i, "name": f"n{i}"} for i in range(200)]
-        random.Random(3).shuffle(rows)
-        cache_db.insert_many(table, rows)
-        assert cache_db.update(table, {"name": "hit"}, {"id": 137}) == 1
-        assert cache_db.update(table, {"name": "miss"}, {"id": 9999}) == 0
-        from repro.orm import Query
-
-        got = cache_db.select(Query(table).eq("id", 137))
-        assert got[0]["name"] == "hit"
-
-    def test_memory_pk_rewrite_degrades_safely(self):
-        database = MemoryDatabase()
-        table = _table()
-        database.create_tables([table])
-        database.insert_many(table, [{"id": i, "name": f"n{i}"} for i in range(10)])
-        # move a row to a new pk — the index can no longer be trusted
-        assert database.update(table, {"id": 100}, {"id": 4}) == 1
-        from repro.orm import Query
-
-        assert database.select(Query(table).eq("id", 100))[0]["name"] == "n4"
-        assert database.select(Query(table).eq("id", 4)) == []
-        # updates by pk still correct after degradation
-        assert database.update(table, {"name": "moved"}, {"id": 100}) == 1
-        assert database.select(Query(table).eq("id", 100))[0]["name"] == "moved"
-
-    def test_memory_duplicate_pk_degrades_safely(self):
-        database = MemoryDatabase()
-        table = _table()
-        database.create_tables([table])
-        database.insert(table, {"id": 1, "name": "first"})
-        database.insert(table, {"id": 1, "name": "second"})  # no constraint check
-        # both rows must be visible to a pk-filtered update (scan semantics)
-        assert database.update(table, {"name": "both"}, {"id": 1}) == 2

@@ -4,7 +4,6 @@ from repro.orm import (
     Boolean,
     Column,
     Integer,
-    MemoryDatabase,
     Query,
     Real,
     SqliteDatabase,
@@ -13,15 +12,14 @@ from repro.orm import (
     connect,
 )
 
+from tests.helpers import STORAGE_MODES, sqlite_path
 
-@pytest.fixture(params=["sqlite", "memory"])
-def db(request):
-    if request.param == "sqlite":
-        database = SqliteDatabase(":memory:")
-        yield database
-        database.close()
-    else:
-        yield MemoryDatabase()
+
+@pytest.fixture(params=STORAGE_MODES)
+def db(request, tmp_path):
+    database = SqliteDatabase(sqlite_path(request.param, tmp_path))
+    yield database
+    database.close()
 
 
 @pytest.fixture
@@ -150,6 +148,7 @@ class TestBackends:
         assert changed == 1
         (row,) = db.select(Query(people).eq("name", "bob"))
         assert row["age"] == 99
+        assert db.update(people, {"age": 1}, {"id": 9999}) == 0  # by pk, no such row
 
     def test_count(self, db, people):
         seed(db, people)
@@ -197,9 +196,6 @@ class TestConnect:
         db = connect(f"sqlite:///{tmp_path}/t.db")
         assert isinstance(db, SqliteDatabase)
         db.close()
-
-    def test_memory_scheme(self):
-        assert isinstance(connect("memory://"), MemoryDatabase)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

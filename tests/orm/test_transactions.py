@@ -1,7 +1,9 @@
-"""Transaction scoping, pragmas, and aggregate helpers on both backends."""
+"""Transaction scoping, pragmas, and aggregate helpers."""
 import pytest
 
-from repro.orm import Column, Integer, MemoryDatabase, Query, SqliteDatabase, Table, Text
+from repro.orm import Column, Integer, Query, SqliteDatabase, Table, Text
+
+from tests.helpers import STORAGE_MODES, sqlite_path
 
 T = Table(
     "t",
@@ -13,9 +15,9 @@ T = Table(
 )
 
 
-@pytest.fixture(params=["sqlite", "memory"])
-def db(request):
-    database = SqliteDatabase() if request.param == "sqlite" else MemoryDatabase()
+@pytest.fixture(params=STORAGE_MODES)
+def db(request, tmp_path):
+    database = SqliteDatabase(sqlite_path(request.param, tmp_path))
     database.create_tables([T])
     yield database
     database.close()

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bus.topic import topic_matches
-from repro.orm import Column, Integer, MemoryDatabase, Query, SqliteDatabase, Table, Text
+from repro.orm import Column, Integer, Query, SqliteDatabase, Table, Text
 from repro.pegasus.abstract import AbstractTask, AbstractWorkflow
 from repro.pegasus.executable import AUXILIARY_TYPES
 from repro.pegasus.planner import Planner, PlannerConfig
@@ -102,7 +102,7 @@ rows_strategy = st.lists(
 
 
 class TestBackendEquivalence:
-    """sqlite and memory backends must agree on every query."""
+    """The compiled SQL must agree with the plain-Python reading of a query."""
 
     @given(rows=rows_strategy, threshold=st.integers(-1000, 1000))
     @settings(max_examples=50, deadline=None)
@@ -112,17 +112,17 @@ class TestBackendEquivalence:
             [Column("pk", Integer(), primary_key=True),
              Column("n", Integer()), Column("s", Text())],
         )
-        sqlite_db, mem_db = SqliteDatabase(":memory:"), MemoryDatabase()
-        for db in (sqlite_db, mem_db):
-            db.create_tables([table])
-            db.insert_many(
-                table,
-                [{"pk": i, "n": n, "s": s} for i, (n, s) in enumerate(rows)],
-            )
-        q1 = Query(table).where("n", ">=", threshold).order_by("n").order_by("pk")
-        q2 = Query(table).where("n", ">=", threshold).order_by("n").order_by("pk")
-        assert sqlite_db.select(q1) == mem_db.select(q2)
-        sqlite_db.close()
+        stored = [{"pk": i, "n": n, "s": s} for i, (n, s) in enumerate(rows)]
+        db = SqliteDatabase(":memory:")
+        db.create_tables([table])
+        db.insert_many(table, stored)
+        query = Query(table).where("n", ">=", threshold).order_by("n").order_by("pk")
+        expected = sorted(
+            (r for r in stored if r["n"] >= threshold),
+            key=lambda r: (r["n"], r["pk"]),
+        )
+        assert db.select(query) == expected
+        db.close()
 
 
 transformations = st.sampled_from(["tA", "tB", "tC"])
