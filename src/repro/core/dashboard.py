@@ -386,11 +386,15 @@ class Dashboard:
         return f"http://{host}:{port}"
 
     def start(self) -> "Dashboard":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # the interval is how long stop() waits for the accept loop to notice
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(0.05,), daemon=True
+        )
         self._thread.start()
         return self
 
     def stop(self) -> None:
+        self.data.feed.close()  # parked streams and long-polls end now
         self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:

@@ -16,11 +16,12 @@ second.  Two pieces keep the read path flat:
   contract).
 
 * :class:`LiveFeed` — push-style change delivery over the same
-  sequence.  ``wait_for_change`` long-polls the commit sequence;
-  ``sse_events`` yields Server-Sent-Event frames carrying monotonic
-  per-workflow progress snapshots read from the O(1) rollup rows.
-  Because every snapshot is a point read of ``rollup_workflow``, a
-  streaming viewer costs microseconds per emitted event regardless of
+  sequence.  One watcher thread per feed reads the commit sequence on a
+  short tick and wakes every long-poll (``wait_for_change``) and SSE
+  stream (``sse_events``) parked on it, so watching costs the same
+  whether one viewer is attached or a hundred.  Frames carry monotonic
+  per-workflow progress snapshots read from the O(1) rollup rows:
+  a streaming viewer costs microseconds per emitted event regardless of
   archive size.
 
 Archives without rollup coverage (loader ran with ``rollup=False`` and
@@ -42,6 +43,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.schema.stampede import SUCCESS
 
 __all__ = ["ReadCache", "LiveFeed", "bind_live"]
+
+#: Seconds between the watcher's reads of the commit sequence.  A tick is
+#: a thread wake-up and a cold point read, ~150 us of CPU: 100 a second
+#: cost ~1.5 % of a core and add at most 10 ms to commit -> frame (at
+#: 5 ms, one frame per commit made a 300 ev/s stream cost 1.75x the CPU).
+WATCH_TICK = 0.01
 
 
 class _Flight:
@@ -164,35 +171,113 @@ def _wf_state(row: RollupWorkflowRow) -> str:
 class LiveFeed:
     """Push-style change delivery over the rollup commit sequence.
 
-    The feed polls :func:`commit_seq` at ``poll_interval`` — a cheap
-    point read of ``rollup_meta`` — and surfaces changes as long-poll
-    returns or SSE frames.  Progress payloads come from the
-    ``rollup_workflow`` rows, so every field a viewer watches (events,
-    task/job counters, state) is **monotone** across frames of one
-    stream: counters only grow, ``running`` only resolves forward into
-    ``success``/``failed``.
+    While anyone waits, one watcher thread reads :func:`commit_seq` every
+    ``poll_interval`` — a cheap point read of ``rollup_meta`` — and wakes
+    all waiters when it moves; they surface the change as long-poll
+    returns or SSE frames.  The thread starts with the first waiter and
+    ends within a tick of the last one leaving, or on :meth:`close`.
+    Progress payloads come from the ``rollup_workflow`` rows, so every
+    field a viewer watches (events, task/job counters, state) is
+    **monotone** across frames of one stream: counters only grow,
+    ``running`` only resolves forward into ``success``/``failed``.
     """
 
-    def __init__(self, archive: Any, poll_interval: float = 0.05):
+    def __init__(self, archive: Any, poll_interval: float = WATCH_TICK):
         self.archive = archive
         self.poll_interval = poll_interval
         #: streams served and events emitted (for bind_live)
         self.streams_opened = 0
         self.events_emitted = 0
         self._lock = threading.Lock()
+        # guards everything below; waiters park on it, the watcher notifies
+        self._changed = threading.Condition()
+        #: callers currently parked in :meth:`wait_for_change`
+        self.waiters = 0
+        self._watcher: Optional[threading.Thread] = None
+        #: the watcher's latest read (None until its first)
+        self._seen: Optional[int] = None
+        self._error: Optional[BaseException] = None  # what ended the watcher
+        self._closed = False
 
     def version(self) -> int:
         return commit_seq(self.archive)
 
     def wait_for_change(self, since: int, timeout: float) -> int:
         """Block until the commit sequence differs from ``since`` or
-        ``timeout`` elapses; returns the current sequence either way."""
+        ``timeout`` elapses; returns the current sequence either way.
+
+        A failed read of the sequence by the watcher is raised here, in
+        every caller parked at the time."""
         deadline = time.monotonic() + max(0.0, timeout)
         while True:
+            with self._changed:
+                seen = self._park(since, deadline)
+            if seen is not None and seen >= since:
+                return seen  # it moved on; or did not, by the deadline
+            # the watcher has nothing to say (closed, or out of time before
+            # its first read) or has not read as far as ``since``: that is
+            # from a snapshot newer than the last tick, or not a sequence
+            # of this archive at all.  Look now.
             current = self.version()
-            if current != since or time.monotonic() >= deadline:
+            if seen is None or current != since:
                 return current
-            time.sleep(min(self.poll_interval, max(0.0, deadline - time.monotonic())))
+            with self._changed:
+                if self._seen is not None and self._seen < current:
+                    self._seen = current
+
+    def _park(self, since: int, deadline: float) -> Optional[int]:
+        """Holding ``_changed``: wait while the watcher reads ``since``;
+        returns what it read last."""
+        if self._closed:
+            return None
+        self.waiters += 1
+        try:
+            if self._watcher is None:
+                self._error = None
+                self._seen = None
+                self._watcher = threading.Thread(
+                    target=self._watch, name="livefeed-watch", daemon=True
+                )
+                self._watcher.start()
+            while (self._seen is None or self._seen == since) and not self._closed:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._changed.wait(remaining)
+                if self._error is not None:
+                    raise self._error
+            return self._seen
+        finally:
+            self.waiters -= 1
+
+    def _watch(self) -> None:
+        while True:
+            try:
+                current = self.version()
+            except Exception as exc:  # noqa: BLE001 - raised in the waiters
+                with self._changed:
+                    self._error = exc
+                    self._watcher = None
+                    self._changed.notify_all()
+                return
+            with self._changed:
+                if self.waiters == 0 or self._closed:
+                    self._watcher = None
+                    return
+                if current != self._seen:
+                    self._seen = current
+                    self._changed.notify_all()
+            time.sleep(self.poll_interval)
+
+    def close(self) -> None:
+        """Release every waiter and end the watcher; later waits return
+        at once."""
+        with self._changed:
+            self._closed = True
+            self._changed.notify_all()
+            watcher = self._watcher
+        if watcher is not None:
+            watcher.join(timeout=5)
 
     # -- progress snapshots --------------------------------------------------
     def _progress_row(self, row: RollupWorkflowRow) -> Dict[str, Any]:
@@ -262,7 +347,11 @@ class LiveFeed:
         testable); ``timeout`` bounds the wait for *each* change — when
         it elapses with no change the stream emits a final ``idle``
         frame and closes, so an abandoned viewer never pins a server
-        thread forever.
+        thread forever.  A stream that fails after its first frame (the
+        watched workflow was tiered away, the archive cannot be read)
+        ends with one ``error`` frame carrying the last sequence it
+        showed; a failure before the first frame is raised, which the
+        dashboard turns into a 404/400.
         """
         with self._lock:
             self.streams_opened += 1
@@ -276,16 +365,23 @@ class LiveFeed:
             self.events_emitted += 1
         seq = snap["commit_seq"]
         while limit is None or emitted < limit:
-            current = self.wait_for_change(seq, timeout)
+            try:
+                current = self.wait_for_change(seq, timeout)
+                if current != seq:
+                    snap = self.snapshot(wf_id)
+            except Exception as exc:  # noqa: BLE001 - reported to the viewer
+                yield _sse_frame(
+                    "error",
+                    {"error": f"{type(exc).__name__}: {exc}", "commit_seq": seq},
+                )
+                return
             if current == seq:
                 yield _sse_frame("idle", {"commit_seq": seq})
                 return
-            seq = current
-            snap = self.snapshot(wf_id)
             # the snapshot may already be ahead of the sequence that
             # woke us; adopt its sequence so we never emit twice for one
             # commit
-            seq = max(seq, snap["commit_seq"])
+            seq = max(current, snap["commit_seq"])
             yield _sse_frame("progress", snap)
             emitted += 1
             with self._lock:
@@ -314,6 +410,8 @@ def bind_live(
       mirrored from the :class:`ReadCache` tallies;
     * ``stampede_dashboard_streams_total`` / ``_stream_events_total`` —
       SSE streams opened and frames emitted;
+    * ``stampede_dashboard_stream_waiters`` — SSE streams and long-polls
+      parked on the feed's watcher right now;
     * ``stampede_rollup_commit_seq`` — the archive's current rollup
       commit sequence (monotone; flat while idle);
     * ``stampede_rollup_lag_seconds`` — wall seconds since the last
@@ -346,6 +444,10 @@ def bind_live(
                 "stampede_dashboard_stream_events_total",
                 "SSE progress frames emitted across all streams.",
             ).set_total(feed.events_emitted)
+            reg.gauge(
+                "stampede_dashboard_stream_waiters",
+                "SSE streams and long-polls waiting for the next commit.",
+            ).set(feed.waiters)
         if target is not None:
             reg.gauge(
                 "stampede_rollup_commit_seq",

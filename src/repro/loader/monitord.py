@@ -41,17 +41,25 @@ def follow_file(
     """Tail a BP file into the loader until ``poll()`` returns False.
 
     Returns the number of events loaded.  Commits on the live flush rule
-    (:meth:`StampedeLoader.flush_if_due`: batch full, or its oldest
-    event :data:`~repro.loader.stampede_loader.MAX_PENDING_AGE` old) so
-    queries see fresh data while lines keep arriving; what to do at EOF
-    is ``poll``'s business (:class:`Monitord` flushes there).
+    (:meth:`StampedeLoader.flush_if_due`) so queries see fresh data
+    while lines keep arriving: a batch that is full, or whose oldest
+    event is :data:`~repro.loader.stampede_loader.MAX_PENDING_AGE` old,
+    commits mid-file; at EOF the file has run dry, and what is buffered
+    commits once it has waited a few commit costs — checked before every
+    ``poll()``, so a ``poll`` that sleeps longer than that is what bounds
+    freshness.
     The loader's source position tracks the byte offset after each
     event's line, so a checkpointing loader records exactly how far into
     the file each committed batch reaches; ``start_offset`` skips the
     prefix a previous run already archived.
     """
     loaded = 0
-    lines = tail_raw(path, poll, start_offset=start_offset)
+
+    def at_eof() -> bool:
+        loader.flush_if_due(dry=True)
+        return poll()
+
+    lines = tail_raw(path, at_eof, start_offset=start_offset)
     for event in positioned(loader, lines, bp_decoder(fast=parse_fast(parse_mode))):
         loader.process(event)
         loaded += 1
@@ -131,8 +139,8 @@ class Monitord:
         """Keep tailing while not stopped and terminations are pending."""
         if self._stop.is_set():
             return False
-        # at EOF: push buffered rows out so the termination check sees them
-        self.loader.flush()
+        # follow_file commits what is due before asking; a termination
+        # still buffered is seen one of the next polls
         if self._terminated_count() >= self.expected_terminations:
             return False
         time.sleep(self.poll_interval)

@@ -42,7 +42,6 @@ from repro.loader.spill import SpillBuffer
 from repro.loader.stampede_loader import (
     MAX_PENDING_AGE,
     LoaderError,
-    LoaderStats,
     StampedeLoader,
 )
 from repro.netlogger.events import NLEvent
@@ -249,12 +248,16 @@ def load_from_bus(
     concurrent with a run.  docs/loader.md and docs/resilience.md
     describe the loop's guarantees; in short:
 
-    * ``poll_timeout`` is the longest an event waits in the loader
-      before its commit starts: a batch flushes when it is full or when
-      its oldest event is that old
-      (:meth:`~StampedeLoader.flush_if_due`), and ``get`` blocks no
-      longer than the open batch can still wait — ``poll_timeout``
-      itself when nothing is buffered, which is the idle tick;
+    * batches commit on the sink's live flush rule
+      (:meth:`~StampedeLoader.flush_if_due`): full, or the queue has run
+      dry — nothing prefetched and none queued as of the last ``get``
+      reply — and the oldest buffered event has waited a few commit
+      costs, or that event is ``MAX_PENDING_AGE`` old; ``get`` blocks no
+      longer than the open batch can still wait
+      (:meth:`~StampedeLoader.commit_wait`);
+    * ``poll_timeout`` is the idle tick: a ``get`` that long without a
+      message flushes what is buffered and consults ``until``, and a
+      degraded loader probes the archive at most that often;
     * messages are acked only after the batch holding them commits
       (at-least-once), and ``resequence=True`` runs deliveries through a
       :class:`~repro.bus.reliable.Resequencer` that restores publish
@@ -355,6 +358,7 @@ def load_from_bus(
     if resume and loader.checkpoint is not None:
         skip_to = loader.resume()
     in_flight: List[Message] = []
+    dry = False  # the consumer held nothing more as of the last delivery
     archive_down = False
     probe_at = 0.0  # degraded: monotonic time of the next archive probe
     # Persist resequencer dedupe floors with every checkpoint, and seed
@@ -455,7 +459,7 @@ def load_from_bus(
             try:
                 loader.position = msg.delivery_tag
                 loader.process(EventConsumer.as_event(msg, fast))
-                loader.flush_if_due(poll_timeout)
+                loader.flush_if_due(dry)
             except transient:
                 # the flush (batch full, or due) failed beyond retries;
                 # the event's ops are safely journalled (flush only clears
@@ -491,21 +495,23 @@ def load_from_bus(
 
     previous_on_flush = loader.on_flush
     loader.on_flush = ack_committed
+    started = time.perf_counter()
     try:
         while True:
             # block no longer than the open batch can still wait (degraded,
             # the stuck batch is past waiting: every delivery checks
             # probe_at instead)
-            wait = poll_timeout
-            if not archive_down:
-                wait = max(0.0, poll_timeout - loader.pending_age())
+            due = None if archive_down else loader.commit_wait()
+            wait = poll_timeout if due is None else min(poll_timeout, due)
             try:
                 msg = consumer.get_message(timeout=wait, auto_ack=False)
             except ConnectionLostError:
                 lost_connection()
                 continue
             if msg is not None:
-                loader.stats.record_queue_depth(consumer.depth())
+                depth = consumer.depth()
+                dry = depth == 0
+                loader.stats.record_queue_depth(depth)
                 if clock is not None:
                     clock.on_delivered(msg)
                 if msg.redelivered:
@@ -545,6 +551,7 @@ def load_from_bus(
             try_recover()
         loader.flush()
     finally:
+        loader.stats.wall_seconds += time.perf_counter() - started
         loader.on_flush = previous_on_flush
         loader.reseq_state = previous_reseq_state
         consumer.cancel()  # requeues anything not acked (crash semantics)
@@ -930,7 +937,7 @@ def main(argv: Optional[list] = None) -> int:
         if shard_set is not None:
             _print_shard_stats(sink.stats())
         else:
-            _print_stats(sink.stats)
+            _print_stats(sink)
         if plan is not None:
             print(f"faults injected  : {plan.stats.total_injected}", file=sys.stderr)
     _finish_obs(registry, server, args)
@@ -998,10 +1005,10 @@ def _print_shard_stats(snap: Dict[str, object]) -> None:
     print(f"events/second    : {(events / wall if wall else 0.0):,.0f}")
 
 
-def _print_stats(stats: LoaderStats) -> None:
+def _print_stats(loader: StampedeLoader) -> None:
     # One atomic snapshot: field reads spread over several statements
     # could mix two batches' state while a metrics server is still up.
-    snap = stats.snapshot()
+    snap = loader.stats.snapshot()
     pct = snap["latency_percentiles"]
     print(f"events processed : {snap['events_processed']}")
     print(f"rows inserted    : {snap['rows_inserted']}")
@@ -1012,6 +1019,13 @@ def _print_stats(stats: LoaderStats) -> None:
         f"p50={pct['p50'] * 1000:.2f}ms "
         f"p95={pct['p95'] * 1000:.2f}ms "
         f"p99={pct['p99'] * 1000:.2f}ms"
+    )
+    wall = snap["wall_seconds"]
+    print(
+        "commit cost      : "
+        f"{loader.commit_cost * 1000:.2f}ms "
+        f"(dry deadline {loader.commit_deadline() * 1000:.1f}ms, "
+        f"{(snap['flushes'] / wall if wall else 0.0):.1f} commits/s)"
     )
     print(f"retries          : {snap['retries']}")
     print(

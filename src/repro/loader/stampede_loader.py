@@ -55,6 +55,7 @@ __all__ = [
     "LoaderError",
     "LoaderStats",
     "StampedeLoader",
+    "COMMIT_COST_MULTIPLE",
     "MAX_PENDING_AGE",
     "OBS_EVENT_PREFIX",
 ]
@@ -73,9 +74,14 @@ OBS_EVENT_PREFIX = "stampede.obs."
 _MAX_LATENCY_SAMPLES = 8192
 
 #: The longest an event waits in a live loader before its commit starts
-#: (seconds): ``load_from_bus``'s default ``poll_timeout`` and the
-#: deadline ``follow_file`` runs on.
+#: (seconds): the cap of the live flush rule, and what a backlogged
+#: stream runs on; also ``load_from_bus``'s default idle tick.
 MAX_PENDING_AGE = 0.05
+
+#: A source that has run dry is committed once its oldest buffered event
+#: has waited this many commit costs: commits made on that rule then take
+#: at most 1 / (1 + 9) = 10 % of the loader's time, whatever a commit costs.
+COMMIT_COST_MULTIPLE = 9
 
 
 @dataclass
@@ -315,6 +321,10 @@ class StampedeLoader:
         # :meth:`flush_if_due` and cleared by the commit; None when
         # nothing waits
         self._pending_since: Optional[float] = None
+        #: running mean of what a commit costs (seconds, the ``elapsed``
+        #: of recent flushes); until one has been measured a commit is
+        #: taken to cost so much that the dry deadline is the cap
+        self.commit_cost: float = MAX_PENDING_AGE / COMMIT_COST_MULTIPLE
         #: optional provider of per-publisher "next expected sequence"
         #: positions, persisted with each checkpoint (the bus path sets
         #: it so resequencer dedupe state survives a kill/resume — an
@@ -457,6 +467,9 @@ class StampedeLoader:
             self.stats.checkpoints_written += 1
             self.last_checkpoint_time = time.time()
         elapsed = time.perf_counter() - start
+        # a quarter of each new sample: one slow commit stretches the next
+        # few deadlines, a handful of fast ones shrink them back
+        self.commit_cost += (elapsed - self.commit_cost) / 4
         self.stats.record_flush_latency(elapsed)
         if self._flush_hist is not None:
             self._flush_hist.observe(elapsed)
@@ -469,23 +482,41 @@ class StampedeLoader:
         since = self._pending_since
         return 0.0 if since is None else time.monotonic() - since
 
-    def flush_if_due(self, max_age: float = MAX_PENDING_AGE) -> bool:
+    def commit_deadline(self) -> float:
+        """Seconds the oldest buffered event of a dry source waits for its
+        commit: :data:`COMMIT_COST_MULTIPLE` commit costs, at most
+        :data:`MAX_PENDING_AGE`."""
+        return min(MAX_PENDING_AGE, COMMIT_COST_MULTIPLE * self.commit_cost)
+
+    def commit_wait(self) -> Optional[float]:
+        """Seconds a source with nothing more to hand over may block before
+        the open batch is due (None when nothing waits): past it, the
+        source calls :meth:`flush`."""
+        if self._pending_since is None:
+            return None
+        return max(0.0, self.commit_deadline() - self.pending_age())
+
+    def flush_if_due(self, dry: bool = False) -> bool:
         """The live sources' flush rule; call it after each event handed over.
 
-        A batch commits when it is full (:meth:`process` does that) or
-        when its oldest event has waited ``max_age`` seconds — so a
-        stream too slow to fill batches is still committed, and acked,
-        within ``max_age``, while a saturated one keeps filling them.
-        The first call after a commit stamps the new batch's start: one
-        clock read per event on the live paths, none in
-        :meth:`process_all`.  Returns whether it flushed.
+        A batch commits when it is full (:meth:`process` does that), when
+        the source has run ``dry`` — it holds nothing more to hand over
+        right now — and the oldest buffered event has waited
+        :meth:`commit_deadline`, or when that event is
+        :data:`MAX_PENDING_AGE` old.  So an idle loader commits what
+        arrives within a few commit costs, a busier one waits longer
+        between commits because each costs more, and a backlogged one
+        keeps filling batches and is cut only at the cap.  The first call
+        after a commit stamps the new batch's start: one clock read per
+        event on the live paths, none in :meth:`process_all`.  Returns
+        whether it flushed.
         """
         now = time.monotonic()
         since = self._pending_since
         if since is None:
             self._pending_since = now
             return False
-        if now - since < max_age:
+        if now - since < (self.commit_deadline() if dry else MAX_PENDING_AGE):
             return False
         self.flush()
         return True

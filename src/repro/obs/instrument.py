@@ -206,6 +206,15 @@ def bind_loader(registry: MetricsRegistry, loader: "StampedeLoader") -> None:
             "Seconds the oldest uncommitted event of a live source has "
             "waited in the loader (0 when nothing waits).",
         ).set(loader.pending_age())
+        reg.gauge(
+            "stampede_loader_commit_cost_seconds",
+            "Running mean of what one flush commit costs.",
+        ).set(loader.commit_cost)
+        reg.gauge(
+            "stampede_loader_commit_deadline_seconds",
+            "How long the oldest buffered event of a dry live source "
+            "waits for its commit (a fixed multiple of the cost, capped).",
+        ).set(loader.commit_deadline())
 
     registry.register_collector(collect)
 

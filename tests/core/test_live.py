@@ -8,6 +8,7 @@ connects relative to the load.
 """
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -15,11 +16,15 @@ import urllib.request
 
 import pytest
 
+from repro.core import live
 from repro.core.dashboard import Dashboard, DashboardData
 from repro.core.live import LiveFeed, ReadCache
+from repro.core.rollup import drop_rollups
 from repro.loader import load_events, make_loader
+from repro.model.entities import WorkflowRow
 from repro.obs.metrics import MetricsRegistry
 
+from tests.bus.test_net import wait_until
 from tests.helpers import diamond_events
 
 XWF2 = "22222222-3333-4444-8555-666666666666"
@@ -47,6 +52,30 @@ def _split_frames(body: bytes):
 @pytest.fixture
 def loader():
     return load_events(diamond_events())
+
+
+def _watchers():
+    return [t for t in threading.enumerate() if t.name == "livefeed-watch"]
+
+
+def _gone_within(seconds):
+    deadline = time.monotonic() + seconds
+    while _watchers() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return not _watchers()
+
+
+@pytest.fixture(autouse=True)
+def no_watcher_outlives_its_test():
+    """Every feed's watcher ends with its last waiter: none may leak
+    from one test into the next."""
+    yield
+    assert _gone_within(1.0)
+
+
+def _commit(loader, n):
+    """One more workflow, one more commit."""
+    loader.process_all(diamond_events(xwf=f"0000000{n}-3333-4444-8555-666666666666"))
 
 
 class TestReadCache:
@@ -184,6 +213,119 @@ class TestLiveFeed:
         start = time.monotonic()
         assert feed.wait_for_change(seq, timeout=0.15) == seq
         assert time.monotonic() - start >= 0.15
+
+    def test_sequence_reads_do_not_grow_with_waiters(self, loader, monkeypatch):
+        """One watcher reads for everybody: 8 parked callers cost the
+        reads of one, a seed plus one per tick."""
+        reads = []
+        plain = live.commit_seq
+        monkeypatch.setattr(
+            live, "commit_seq", lambda archive: reads.append(1) or plain(archive)
+        )
+        tick, duration = 0.01, 0.3
+        seq = plain(loader.archive)
+        counts = {}
+        for callers in (1, 8):
+            feed = LiveFeed(loader.archive, poll_interval=tick)
+            del reads[:]
+            threads = [
+                threading.Thread(target=feed.wait_for_change, args=(seq, duration))
+                for _ in range(callers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(5)
+                assert not t.is_alive()
+            assert _gone_within(1.0)
+            counts[callers] = len(reads)
+        ceiling = duration / tick + 2  # the seed, and a tick under way at the end
+        assert 2 < counts[1] <= ceiling  # it did tick, and a poll per
+        assert 2 < counts[8] <= ceiling  # viewer would be 8 x as many
+
+    def test_one_commit_wakes_every_waiter_within_two_ticks(self, loader):
+        tick = 0.05
+        feed = LiveFeed(loader.archive, poll_interval=tick)
+        seq = feed.version()
+        woke = []
+
+        def wait():
+            current = feed.wait_for_change(seq, 10.0)
+            woke.append((time.monotonic(), current))
+
+        threads = [threading.Thread(target=wait) for _ in range(8)]
+        for t in threads:
+            t.start()
+        wait_until(lambda: feed.waiters >= 8)
+        _commit(loader, 1)
+        committed = time.monotonic()
+        for t in threads:
+            t.join(5)
+        assert len(woke) == 8
+        assert {current for _, current in woke} == {seq + 1}
+        assert max(at for at, _ in woke) - committed < 2 * tick + 0.05
+        assert feed.waiters == 0
+
+    def test_watcher_ends_with_its_last_waiter(self, loader):
+        tick = 0.02
+        feed = LiveFeed(loader.archive, poll_interval=tick)
+        seq = feed.version()
+        assert not _watchers()  # lazily started
+        first = threading.Thread(target=feed.wait_for_change, args=(seq, 0.1))
+        second = threading.Thread(target=feed.wait_for_change, args=(seq, 0.2))
+        first.start()
+        second.start()
+        first.join(5)
+        assert len(_watchers()) == 1  # one for both, and the second still waits
+        second.join(5)
+        assert _gone_within(2 * tick + 0.05)
+        # and a later waiter gets a new one
+        assert feed.wait_for_change(seq, 0.05) == seq
+        assert _gone_within(2 * tick + 0.05)
+
+    def test_watcher_failure_is_raised_in_the_waiters(self, loader, monkeypatch):
+        feed = LiveFeed(loader.archive, poll_interval=0.01)
+        seq = feed.version()
+        errors = []
+
+        def wait():
+            try:
+                feed.wait_for_change(seq, 5.0)
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=wait) for _ in range(3)]
+        for t in threads:
+            t.start()
+        wait_until(lambda: feed.waiters >= 3)
+
+        def down(_archive):
+            raise RuntimeError("archive unreadable")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(live, "commit_seq", down)
+            for t in threads:
+                t.join(5)
+        assert errors == ["archive unreadable"] * 3
+        assert _gone_within(1.0)
+        assert feed.wait_for_change(-1, 1.0) == seq  # the next wait starts afresh
+
+    def test_close_releases_waiters(self, loader):
+        feed = LiveFeed(loader.archive, poll_interval=0.01)
+        seq = feed.version()
+        frames = []
+        stream = threading.Thread(
+            target=lambda: frames.extend(feed.sse_events(timeout=30.0))
+        )
+        stream.start()
+        wait_until(lambda: feed.waiters >= 1)
+        feed.close()
+        stream.join(5)
+        assert not stream.is_alive()
+        assert [_parse_frame(f)[0] for f in frames] == ["progress", "idle"]
+        assert not _watchers()
+        assert feed.wait_for_change(seq, 30.0) == seq  # at once, and unwatched
+        assert not _watchers()
 
     def test_snapshot_unknown_workflow_raises(self, loader):
         with pytest.raises(KeyError):
@@ -374,6 +516,96 @@ class TestDashboardStreamingHttp:
             assert name in body, name
         assert "stampede_dashboard_cache_hits_total 2" in body
         assert "stampede_dashboard_streams_total 2" in body
+
+
+    def test_stream_of_a_vanished_workflow_ends_with_an_error_frame(
+        self, loader, capfd
+    ):
+        """Tiering moves a finished workflow out of the hot archive
+        (rollup rows dropped, hot rows deleted): its stream must end with
+        a frame saying so, not with a traceback and a cut connection."""
+        with Dashboard(loader.archive) as dash:
+            host, port = dash.address
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            conn.request("GET", "/api/workflow/1/stream?timeout=10")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            first = b""
+            while not first.endswith(b"\n\n"):
+                first += resp.read(1)
+            name, seq, _ = _parse_frame(first)
+            assert name == "progress"
+            _commit(loader, 1)  # one ordinary commit ...
+            with loader.archive.transaction():  # ... then wf 1 is tiered away
+                drop_rollups(loader.archive, [1])
+                loader.archive.delete(WorkflowRow, {"wf_id": [1]})
+            frames = _split_frames(resp.read())  # to a clean EOF
+            conn.close()
+        names = [_parse_frame(f)[0] for f in frames]
+        assert names[-1] == "error"
+        assert set(names[:-1]) <= {"progress"}
+        _, _, error = _parse_frame(frames[-1])
+        assert "KeyError" in error["error"]
+        assert seq <= error["commit_seq"] <= seq + 1  # the last frame it showed
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_stalled_viewer_delays_nobody(self, loader):
+        tick = live.WATCH_TICK
+        with Dashboard(loader.archive) as dash:
+            host, port = dash.address
+            stalled = socket.socket()
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+            stalled.connect((host, port))
+            stalled.sendall(b"GET /api/stream?timeout=30 HTTP/1.0\r\n\r\n")
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            conn.request("GET", "/api/stream?timeout=30")
+            resp = conn.getresponse()
+            lags = []
+            try:
+                wait_until(lambda: dash.data.feed.waiters >= 2)
+                for n in range(1, 6):
+                    _commit(loader, n)
+                    committed = time.monotonic()
+                    frame = b""
+                    while True:  # the initial snapshot first, then one per commit
+                        frame += resp.read(1)
+                        if frame.endswith(b"\n\n"):
+                            _, _, data = _parse_frame(frame)
+                            if len(data["workflows"]) == 1 + n:
+                                break
+                            frame = b""
+                    lags.append(time.monotonic() - committed)
+            finally:
+                stalled.close()
+                conn.close()
+        assert max(lags) < 2 * tick + 0.05
+
+    def test_stop_ends_parked_streams_and_the_watcher(self, loader):
+        dash = Dashboard(loader.archive).start()
+        host, port = dash.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        conn.request("GET", "/api/stream?timeout=60")
+        resp = conn.getresponse()
+        wait_until(lambda: dash.data.feed.waiters >= 1)
+        assert len(_watchers()) == 1
+        dash.stop()
+        assert not _watchers()
+        names = [_parse_frame(f)[0] for f in _split_frames(resp.read())]
+        conn.close()
+        assert names == ["progress", "idle"]
+
+    def test_waiters_gauge(self, loader):
+        registry = MetricsRegistry()
+        with Dashboard(loader.archive, metrics=registry) as dash:
+            gauge = "stampede_dashboard_stream_waiters"
+            assert registry.snapshot()[gauge] == 0
+            with urllib.request.urlopen(
+                dash.url + "/api/stream?timeout=0.3", timeout=10
+            ) as resp:
+                wait_until(lambda: dash.data.feed.waiters >= 1)
+                assert registry.snapshot()[gauge] == 1
+                resp.read()
+            assert registry.snapshot()[gauge] == 0
 
 
 class TestDashboardDataCaching:

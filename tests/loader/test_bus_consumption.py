@@ -1,5 +1,6 @@
 """Backpressure-aware bus consumption: no busy-poll, bounded flushes,
 ack-only-after-commit, and the commit deadline of the live paths."""
+import contextlib
 import threading
 import time
 import types
@@ -11,8 +12,10 @@ from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
 from repro.bus.net import BrokerServer, RemotePublisher
 from repro.core.rollup import verify_rollups
-from repro.loader import load_events, load_from_bus, make_loader
+from repro.loader import follow_file, load_events, load_from_bus, make_loader
+from repro.loader.stampede_loader import COMMIT_COST_MULTIPLE, MAX_PENDING_AGE
 from repro.model.entities import InvocationRow, WorkflowStateRow
+from repro.netlogger.stream import BPWriter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import PipelineClock
 from repro.schema.stampede import Events
@@ -108,7 +111,8 @@ class TestAckOnFlush:
 
 
 class TestFlushRule:
-    """``StampedeLoader.flush_if_due`` on a clock the test owns."""
+    """``StampedeLoader.flush_if_due`` on a clock the test owns (both
+    clocks: what a commit costs is whatever the test makes it take)."""
 
     @pytest.fixture
     def clock(self, monkeypatch):
@@ -117,11 +121,24 @@ class TestFlushRule:
             "repro.loader.stampede_loader.time",
             types.SimpleNamespace(
                 monotonic=lambda: now[0],
-                perf_counter=time.perf_counter,
+                perf_counter=lambda: now[0],
                 time=time.time,
             ),
         )
         return now
+
+    @staticmethod
+    def commits_take(loader, clock, seconds):
+        """Every transaction of ``loader`` from now on takes ``seconds[0]``."""
+        plain = loader.archive.transaction
+
+        @contextlib.contextmanager
+        def slow():
+            with plain():
+                yield
+                clock[0] += seconds[0]
+
+        loader.archive.transaction = slow
 
     def test_commits_on_age_not_on_count(self, clock):
         events = diamond_events()
@@ -129,29 +146,98 @@ class TestFlushRule:
         assert loader.pending_age() == 0.0
         for event in events[:40]:  # any number of events inside the window
             loader.process(event)
-            assert not loader.flush_if_due(0.05)
+            assert not loader.flush_if_due()
             clock[0] += 0.001
         assert loader.stats.flushes == 0
         assert loader.pending_age() == pytest.approx(0.04)
         clock[0] += 0.011  # the first of them is now 51 ms old
-        assert loader.flush_if_due(0.05)
+        assert loader.flush_if_due()
         assert loader.stats.flushes == 1
         assert loader.pending_age() == 0.0
         # the next batch gets its own stamp, and its own full window
         loader.process(events[40])
-        assert not loader.flush_if_due(0.05)
+        assert not loader.flush_if_due()
         clock[0] += 0.049
-        assert not loader.flush_if_due(0.05)
+        assert not loader.flush_if_due()
         assert loader.pending_age() == pytest.approx(0.049)
+
+    def test_dry_source_commits_after_a_multiple_of_the_cost(self, clock):
+        events = diamond_events()
+        loader = make_loader(batch_size=10_000)
+        loader.commit_cost = 0.001
+        deadline = COMMIT_COST_MULTIPLE * 0.001
+        assert loader.commit_deadline() == pytest.approx(deadline)
+        assert loader.commit_wait() is None  # nothing waits
+        loader.process(events[0])
+        assert not loader.flush_if_due(dry=True)  # stamps the batch
+        assert loader.commit_wait() == pytest.approx(deadline)
+        clock[0] += deadline - 0.001
+        loader.process(events[1])
+        assert not loader.flush_if_due(dry=True)  # dry, but too young
+        assert loader.commit_wait() == pytest.approx(0.001)
+        clock[0] += 0.001
+        assert not loader.flush_if_due()  # old enough, but more is queued
+        assert loader.commit_wait() == 0.0
+        assert loader.flush_if_due(dry=True)
+        assert loader.stats.flushes == 1
+        assert loader.commit_wait() is None
+
+    def test_backlog_commits_only_at_the_cap_or_when_full(self, clock):
+        events = diamond_events()
+        loader = make_loader(batch_size=30)
+        loader.commit_cost = 0.0001  # a dry source would commit every 0.9 ms
+        for event in events[:10]:
+            loader.process(event)
+            assert not loader.flush_if_due()  # more is queued behind it
+            clock[0] += 0.004
+        assert loader.stats.flushes == 0  # 40 ms in, 44 dry deadlines
+        clock[0] += 0.010
+        loader.process(events[10])
+        assert loader.flush_if_due()  # the cap
+        assert loader.stats.flushes == 1
+        for event in events[11:]:  # and however young, a full batch
+            loader.process(event)
+            assert not loader.flush_if_due()
+        assert loader.stats.flushes > 1
+        loader.flush()
+        want = canonical_dump(load_events(events).archive)
+        assert diff_canonical(want, canonical_dump(loader.archive)) == []
+
+    def test_slow_commit_stretches_the_deadline_fast_ones_shrink_it(self, clock):
+        events = iter(wire_events(*WFS))
+        loader = make_loader(batch_size=10_000)
+        seconds = [0.0005]
+        self.commits_take(loader, clock, seconds)
+
+        def commit():
+            loader.process(next(events))
+            loader.flush()
+            return loader.commit_deadline()
+
+        for _ in range(40):
+            settled = commit()
+        assert settled == pytest.approx(COMMIT_COST_MULTIPLE * 0.0005, rel=0.01)
+        seconds[0] = 0.020
+        stretched = commit()
+        assert stretched > 5 * settled
+        assert stretched <= MAX_PENDING_AGE
+        seconds[0] = 0.0005
+        shrinking = [commit() for _ in range(40)]
+        assert shrinking == sorted(shrinking, reverse=True)
+        assert shrinking[-1] == pytest.approx(settled, rel=0.01)
+
+    def test_unmeasured_cost_means_the_cap(self, clock):
+        loader = make_loader()
+        assert loader.commit_deadline() == pytest.approx(MAX_PENDING_AGE)
 
     def test_any_commit_clears_the_stamp(self, clock):
         loader = make_loader(batch_size=10_000)
         loader.process(diamond_events()[0])
-        loader.flush_if_due(0.05)
+        loader.flush_if_due()
         clock[0] += 1.0
         loader.flush()  # batch full, idle tick, end of stream: all the same
         assert loader.pending_age() == 0.0
-        loader.flush_if_due(0.05)  # stamped with nothing journalled ...
+        loader.flush_if_due()  # stamped with nothing journalled ...
         clock[0] += 1.0
         loader.flush()  # ... an empty flush still clears it
         assert loader.pending_age() == 0.0
@@ -162,16 +248,37 @@ class TestFlushRule:
         gauge = "stampede_loader_oldest_pending_seconds"
         assert registry.snapshot()[gauge] == 0.0
         loader.process(diamond_events()[0])
-        loader.flush_if_due(0.05)
+        loader.flush_if_due()
         clock[0] += 0.03
         assert registry.snapshot()[gauge] == pytest.approx(0.03)
         loader.flush()
         assert registry.snapshot()[gauge] == 0.0
 
+    def test_cost_and_deadline_are_scrape_time_gauges(self, clock):
+        registry = MetricsRegistry()
+        loader = make_loader(batch_size=10_000, metrics=registry)
+        self.commits_take(loader, clock, [0.002])
+        before = registry.snapshot()
+        assert before["stampede_loader_commit_deadline_seconds"] == pytest.approx(
+            MAX_PENDING_AGE
+        )
+        loader.process(diamond_events()[0])
+        loader.flush()
+        after = registry.snapshot()
+        assert after["stampede_loader_commit_cost_seconds"] == loader.commit_cost
+        assert (
+            after["stampede_loader_commit_cost_seconds"]
+            < before["stampede_loader_commit_cost_seconds"]
+        )
+        assert after["stampede_loader_commit_deadline_seconds"] == pytest.approx(
+            COMMIT_COST_MULTIPLE * loader.commit_cost
+        )
+
     def test_failed_commit_keeps_the_age_growing(self, clock):
         loader = make_loader(batch_size=10_000)
         loader.process(diamond_events()[0])
-        loader.flush_if_due(0.05)
+        loader.flush_if_due()
+        cost = loader.commit_cost
 
         def down():
             raise RuntimeError("archive down")
@@ -179,9 +286,32 @@ class TestFlushRule:
         loader.archive.transaction = down
         clock[0] += 0.06
         with pytest.raises(RuntimeError):
-            loader.flush_if_due(0.05)
+            loader.flush_if_due()
         clock[0] += 0.06
         assert loader.pending_age() == pytest.approx(0.12)
+        assert loader.commit_cost == cost  # only a commit that happened counts
+
+    def test_follow_file_at_eof_obeys_the_bound(self, clock, tmp_path):
+        events = diamond_events()
+        path = tmp_path / "run.bp"
+        with BPWriter(path) as writer:
+            writer.write_all(events)
+        loader = make_loader(batch_size=10_000)
+        loader.commit_cost = 0.001  # 9 ms for a dry source
+        flushes_at_eof = []
+
+        def poll():  # the file has run dry: 4 ms pass before each next look
+            flushes_at_eof.append(loader.stats.flushes)
+            clock[0] += 0.004
+            return len(flushes_at_eof) < 4
+
+        assert follow_file(path, loader, poll) == len(events)
+        # looked at 0, 4, 8 and 12 ms after the read: due at the fourth
+        assert flushes_at_eof == [0, 0, 0, 1]
+        assert loader.stats.flushes == 1
+        want = canonical_dump(load_events(events).archive)
+        assert diff_canonical(want, canonical_dump(loader.archive)) == []
+        assert verify_rollups(loader.archive) == []
 
 
 class _RecordingClock(PipelineClock):
@@ -311,6 +441,46 @@ class TestCommitDeadline:
         assert diff_canonical(
             canonical_dump(sequential.archive), canonical_dump(loader.archive)
         ) == []
+
+    @pytest.mark.parametrize("rate", [200, 1000, 5000])
+    def test_commit_share_is_bounded_at_any_rate(self, rate):
+        """Commits on the dry rule wait ``COMMIT_COST_MULTIPLE`` costs, so
+        they take at most 1 / (1 + that) of the loader's time.  Where the
+        rows alone cost more than that share the deadline stretches to
+        the cap, and commits are as few as the cap and full batches make
+        them: 2 s of each, and the same rows as a sequential load."""
+        seconds = 2.0
+        count = int(rate * seconds)
+        events = wire_events(*(f"wf-{i}" for i in range(count // 57 + 1)))[:count]
+        broker, queue = self.durable_queue()
+        done = threading.Event()
+        loader, thread = self.start(
+            broker, done, queue_name="q", durable=True, loader=make_loader()
+        )
+        try:
+            publisher = EventPublisher(broker)
+            started = time.monotonic()
+            for i, event in enumerate(events):
+                ahead = started + i / rate - time.monotonic()
+                if ahead > 0:
+                    time.sleep(ahead)
+                publisher.publish(event)
+            wait_until(lambda: queue.stats.acked == count)
+            wall = time.monotonic() - started
+        finally:
+            self.stop(done, thread)
+        stats = loader.stats
+        share = sum(stats.flush_seconds) / wall
+        # half as much again for costs that jump between two commits
+        cheap = share <= 1.5 / (1 + COMMIT_COST_MULTIPLE)
+        by_the_cap = wall / MAX_PENDING_AGE
+        by_full_batches = (stats.rows_inserted + stats.rows_updated) / loader.batch_size
+        assert cheap or stats.flushes <= 1.5 * (by_the_cap + by_full_batches), share
+        if rate == 200:  # far below what any host can load: the dry rule's
+            assert cheap and stats.flushes > 2 * by_the_cap, (share, stats.flushes)
+        want = canonical_dump(load_events(events).archive)
+        assert diff_canonical(want, canonical_dump(loader.archive)) == []
+        assert verify_rollups(loader.archive) == []
 
     def test_deliveries_without_rows_are_acked_by_the_deadline(self):
         """``inv.start`` journals nothing, yet its message is in flight:
