@@ -11,9 +11,10 @@ scale, the latency of the summary for one fixed target workflow:
 
 * ``rollup_ms``  — ``workflow_statistics`` through the rollup tables
   (the dashboard's uncached read path);
-* ``scan_ms``    — the same statistics with ``prefer_rollup=False``
-  (what every request would cost without rollups; measured with fewer
-  iterations because it grows with the archive);
+* ``scan_ms``    — the same statistics from ``scan_statistics``, the
+  full-scan reference ``verify_rollups`` checks against (what every
+  request would cost without rollups; measured with fewer iterations
+  because it grows with the archive);
 * ``cached_ms``  — ``DashboardData.workflow_payload`` through the
   commit-seq :class:`~repro.core.live.ReadCache` (what the 2nd..Nth
   concurrent viewer pays).
@@ -24,7 +25,7 @@ Gates (all tunable via flags / environment):
   ceiling in milliseconds at **every** scale (default 5.0);
 * ``--max-flatness`` — ratio of rollup p95 at ×100 over ×1 (default
   3.0: the reads are O(1), so anything beyond runner noise means the
-  rollup path regressed into a scan);
+  rollup read itself started scaling with the archive);
 * ``--baseline BENCH_query.json`` + ``--regression-threshold`` — as in
   ``bench_loader_scaling.py``: fails when a current p95 exceeds the
   committed one by more than 1/threshold (default 0.5 → a doubling).
@@ -50,7 +51,7 @@ from pathlib import Path
 from repro.archive.store import StampedeArchive
 from repro.core.dashboard import DashboardData
 from repro.core.rollup import commit_seq, verify_rollups
-from repro.core.statistics import workflow_statistics
+from repro.core.statistics import scan_statistics, workflow_statistics
 from repro.loader.stampede_loader import StampedeLoader
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.query.api import StampedeQuery
@@ -136,9 +137,7 @@ def _measure_scale(
         # the scan path grows with the archive; a handful of iterations
         # is enough to show the gap without dominating bench wall time
         scan_ms = _time_ms(
-            lambda: workflow_statistics(
-                query, wf_id=target, include_jobs=False, prefer_rollup=False
-            ),
+            lambda: scan_statistics(query, wf_id=target, include_jobs=False),
             max(3, iterations // 20),
         )
         data = DashboardData(archive)

@@ -314,7 +314,6 @@ class ShardedLoader:
         checkpoint_source: Optional[str] = None,
         queue_size: int = 64,
         chunk_size: int = 256,
-        rollup: bool = True,
     ):
         self.shard_set = shard_set
         self.checkpoint_source = checkpoint_source
@@ -332,7 +331,6 @@ class ShardedLoader:
                 strict=strict,
                 validate=validate,
                 checkpoint=checkpoint,
-                rollup=rollup,
             )
             self.writers.append(_ShardWriter(index, loader, queue_size))
         self._buffers: List[List[Tuple[int, NLEvent]]] = [

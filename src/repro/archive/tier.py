@@ -15,8 +15,9 @@ hierarchy resolves inside its own record (that is exactly what routing
 by root id guarantees) — so appends need no global sequence and the
 segment files never rewrite.  Ids are remapped at *read* time:
 :meth:`LongTermStore.open_archive` materializes the segments into an
-in-process archive with fresh surrogate ids, which then participates in
-the federated query layer as one more source.
+in-process archive with fresh surrogate ids and derives its rollups,
+and that archive participates in the federated query layer as one more
+source.
 
 Durability contract of :func:`tier_finished`: the segment is written
 and flushed *before* the hot-shard rows are deleted (delete runs as one
@@ -141,11 +142,18 @@ class LongTermStore:
         Each record's local ids are remapped onto the new archive's
         sequences (two passes: allocate every primary key, then rewrite
         the foreign keys) so records from different shards and different
-        tiering passes cannot collide.
+        tiering passes cannot collide.  Segments hold base rows only; the
+        archive's rollups are derived here, so the tier is served, cached
+        and verified like a hot shard.  The derivation sets the tier's
+        commit sequence (to 1) but no ``last_commit_ts``: a federated lag
+        gauge keeps reading the loaders' commits.
         """
+        from repro.core.rollup import rebuild_rollups
+
         archive = StampedeArchive()
         for record in self.records():
             self._materialize(archive, record)
+        rebuild_rollups(archive)
         return archive
 
     @staticmethod

@@ -25,7 +25,8 @@ commit) so streaming clients are testable and abandoned viewers cannot
 pin server threads.
 
 Error contract: an unknown workflow id is 404; a malformed API path
-(e.g. a non-numeric id) is 400.
+(e.g. a non-numeric id) is 400; a workflow the archive has no rollups
+for is 500, with the reason naming ``stampede-rollup rebuild``.
 """
 from __future__ import annotations
 
@@ -38,12 +39,13 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qsl
 
 from repro.archive.store import StampedeArchive
-from repro.core.live import LiveFeed, ReadCache, bind_live
+from repro.core.live import LiveFeed, ReadCache, _wf_state, bind_live
+from repro.core.rollup import RollupCoverageError
 from repro.core.statistics import workflow_statistics
+from repro.model.entities import RollupWorkflowRow
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.query.api import StampedeQuery
-from repro.schema.stampede import SUCCESS
 
 __all__ = ["DashboardData", "Dashboard"]
 
@@ -76,20 +78,22 @@ class DashboardData:
         return self.cache.get("workflows", self._workflows_uncached)
 
     def _workflows_uncached(self) -> dict:
+        # workflows first: one committed between the two reads brings its
+        # rollup row along, so a missing row is missing coverage
+        workflows = self.query.workflows()
+        rollups = {r.wf_id: r for r in self.archive.query(RollupWorkflowRow).all()}
         rows = []
-        for wf in self.query.workflows():
-            status = self.query.workflow_status(wf.wf_id)
+        for wf in workflows:
+            row = rollups.get(wf.wf_id)
+            if row is None:
+                raise RollupCoverageError(wf.wf_id)
             rows.append(
                 {
                     "wf_id": wf.wf_id,
                     "wf_uuid": wf.wf_uuid,
                     "dag_file_name": wf.dag_file_name,
                     "parent_wf_id": wf.parent_wf_id,
-                    "state": (
-                        "running"
-                        if status is None
-                        else ("success" if status == SUCCESS else "failed")
-                    ),
+                    "state": _wf_state(row),
                 }
             )
         return {"workflows": rows}
@@ -101,7 +105,7 @@ class DashboardData:
 
     def _workflow_uncached(self, wf_id: int) -> dict:
         # the summary payload renders no per-job rows: include_jobs=False
-        # keeps this a pure rollup point read on covered archives
+        # keeps this a pure rollup point read
         stats = workflow_statistics(
             self.query, wf_id=self._require_workflow(wf_id), include_jobs=False
         )
@@ -239,14 +243,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             body, content_type = self._route(path, params)
-        except KeyError:
-            self.send_error(404)
-            return
-        except ValueError as exc:
-            self.send_error(400, str(exc))
-            return
-        except Exception as exc:  # pragma: no cover - defensive
-            self.send_error(500, str(exc))
+        except Exception as exc:  # noqa: BLE001 - answered with a status
+            self._send_failure(exc)
             return
         encoded = body.encode()
         self.send_response(200)
@@ -265,15 +263,12 @@ class _Handler(BaseHTTPRequestHandler):
             timeout = min(float(params.get("timeout", 30.0)), _MAX_WAIT_SECONDS)
             frames = self.data.feed.sse_events(wf_id=wf_id, limit=limit, timeout=timeout)
             first = next(frames)
-        except KeyError:
-            self.send_error(404)
-            return
-        except ValueError as exc:
-            self.send_error(400, str(exc))
-            return
         except StopIteration:  # pragma: no cover - limit=0
             first = b""
             frames = iter(())
+        except Exception as exc:  # noqa: BLE001 - answered with a status
+            self._send_failure(exc)
+            return
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
@@ -289,6 +284,17 @@ class _Handler(BaseHTTPRequestHandler):
             # the viewer closed its end mid-stream: a normal disconnect,
             # not a server error
             pass
+
+    def _send_failure(self, exc: Exception) -> None:
+        """An unknown workflow is 404, a malformed request 400, and
+        anything else — an archive the server cannot read or serve, such
+        as one missing rollup coverage — 500 with the reason."""
+        if isinstance(exc, KeyError):
+            self.send_error(404)
+        elif isinstance(exc, ValueError):
+            self.send_error(400, str(exc))
+        else:
+            self.send_error(500, str(exc))
 
     def _route(self, path: str, params: Optional[dict] = None) -> Tuple[str, str]:
         params = params or {}

@@ -24,9 +24,10 @@ second.  Two pieces keep the read path flat:
   a streaming viewer costs microseconds per emitted event regardless of
   archive size.
 
-Archives without rollup coverage (loader ran with ``rollup=False`` and
-no rebuild) report ``commit_seq == 0``; the cache then bypasses itself
-— every request computes — because no safe invalidation signal exists.
+Both read rollups only: every change a payload can show moves the commit
+sequence, and a workflow without a rollup row raises
+:class:`~repro.core.rollup.RollupCoverageError` — which no cache entry
+ever holds — instead of being served from a scan.
 :func:`bind_live` exports cache hit/miss totals and the rollup
 commit-sequence / lag gauges through the PR 5 metrics registry.
 """
@@ -37,8 +38,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.rollup import commit_seq, last_commit_ts
-from repro.model.entities import RollupWorkflowRow
+from repro.core.rollup import RollupCoverageError, commit_seq, last_commit_ts
+from repro.model.entities import RollupWorkflowRow, WorkflowRow
 from repro.obs.metrics import MetricsRegistry
 from repro.schema.stampede import SUCCESS
 
@@ -76,8 +77,7 @@ class ReadCache:
     Counters (mirrored to metrics by :func:`bind_live`):
 
     * ``hits`` — served from cache or coalesced onto a leader;
-    * ``misses`` — computations actually run (including bypasses on
-      archives without rollup coverage).
+    * ``misses`` — computations actually run.
     """
 
     def __init__(self, archive: Any):
@@ -89,24 +89,15 @@ class ReadCache:
         self.misses = 0
 
     def version(self) -> int:
-        """Current invalidation version (0 = no rollup coverage)."""
+        """Current invalidation version (0 before the first commit)."""
         return commit_seq(self.archive)
 
     def _count_hit(self) -> None:
         with self._lock:
             self.hits += 1
 
-    def _count_miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-
     def get(self, key: Any, compute: Callable[[], Any]) -> Any:
         version = self.version()
-        if version <= 0:
-            # no commit sequence to invalidate on: caching would serve
-            # stale data forever, so compute every time (an honest miss)
-            self._count_miss()
-            return compute()
         while True:
             with self._lock:
                 entry = self._entries.get(key)
@@ -163,6 +154,7 @@ class ReadCache:
 
 
 def _wf_state(row: RollupWorkflowRow) -> str:
+    """What every viewer shows as a workflow's state, from its rollup row."""
     if row.ended is None or row.status is None:
         return "running"
     return "success" if row.status == SUCCESS else "failed"
@@ -223,7 +215,10 @@ class LiveFeed:
                 return current
             with self._changed:
                 if self._seen is not None and self._seen < current:
+                    # the watcher will not announce a sequence it already
+                    # holds: wake whoever is parked on the older one here
                     self._seen = current
+                    self._changed.notify_all()
 
     def _park(self, since: int, deadline: float) -> Optional[int]:
         """Holding ``_changed``: wait while the watcher reads ``since``;
@@ -301,8 +296,9 @@ class LiveFeed:
         """Current progress: one workflow or the whole archive.
 
         Raises ``KeyError`` when ``wf_id`` names no workflow (the
-        dashboard's 404 contract).  A workflow that exists but has no
-        rollup row (rollups disabled) degrades to a state-only entry.
+        dashboard's 404 contract) and
+        :class:`~repro.core.rollup.RollupCoverageError` when it names one
+        without a rollup row.
         """
         seq = self.version()
         if wf_id is None:
@@ -312,23 +308,11 @@ class LiveFeed:
                 "workflows": [self._progress_row(r) for r in rows],
             }
         row = self.archive.query(RollupWorkflowRow).eq("wf_id", wf_id).first()
-        if row is not None:
-            payload = self._progress_row(row)
-        else:
-            from repro.query.api import StampedeQuery
-
-            query = StampedeQuery(self.archive)
-            if query.workflow(wf_id) is None:
+        if row is None:
+            if self.archive.query(WorkflowRow).eq("wf_id", wf_id).first() is None:
                 raise KeyError(f"no workflow with wf_id={wf_id}")
-            status = query.workflow_status(wf_id)
-            payload = {
-                "wf_id": wf_id,
-                "state": (
-                    "running"
-                    if status is None
-                    else ("success" if status == SUCCESS else "failed")
-                ),
-            }
+            raise RollupCoverageError(wf_id)
+        payload = self._progress_row(row)
         payload["commit_seq"] = seq
         return payload
 
@@ -351,7 +335,7 @@ class LiveFeed:
         watched workflow was tiered away, the archive cannot be read)
         ends with one ``error`` frame carrying the last sequence it
         showed; a failure before the first frame is raised, which the
-        dashboard turns into a 404/400.
+        dashboard turns into a 404, 400 or 500.
         """
         with self._lock:
             self.streams_opened += 1

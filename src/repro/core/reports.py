@@ -9,6 +9,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core.rollup import RollupCoverageError
 from repro.core.statistics import (
     HostUsage,
     TypeBreakdown,
@@ -280,6 +281,9 @@ def main(argv: Optional[list] = None) -> int:
                 )
                 for path in write_report_files(stats, directory):
                     print(f"wrote {path}", file=sys.stderr)
+    except RollupCoverageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     finally:
         archive.close()
     return 0

@@ -1,11 +1,11 @@
 """Incremental rollups: materialized statistics maintained at the writer.
 
-The full-scan read path (``workflow_statistics``) recomputes Table I/II
-aggregates from the base tables on every request — O(archive) per query.
-This module maintains the same aggregates *incrementally*, inside the
-loader's flush transaction, so dashboard reads become O(1) point lookups
-regardless of archive size (the CMS-dashboard / WMArchive
-rollup-near-the-writer pattern from PAPERS.md).
+Recomputing the Table I/II aggregates from the base tables costs a scan
+of the archive per request (``statistics.scan_statistics``, kept as the
+reference).  This module maintains the same aggregates *incrementally*,
+inside the loader's flush transaction, so every statistics and progress
+read is O(1) point lookups regardless of archive size (the CMS-dashboard
+/ WMArchive rollup-near-the-writer pattern from PAPERS.md).
 
 Consistency contract
 --------------------
@@ -24,10 +24,12 @@ Therefore:
 * ``rollup_meta.commit_seq`` increments once per applying flush — read
   caches invalidate on it instead of a TTL.
 
-Reads (:func:`rollup_statistics`) return ``None`` when the archive has
-no (or incomplete) rollup coverage, and ``workflow_statistics`` falls
-back to the full scan; :func:`rebuild_rollups` backfills legacy
-archives and :func:`verify_rollups` asserts parity with the scan.
+Rollups are the archive's only read path: every archive the system
+writes carries them, and the long-term tier derives its own when it is
+opened.  A workflow without a rollup row is served by nobody — readers
+raise :class:`RollupCoverageError`, whose message names the fix,
+:func:`rebuild_rollups` (``stampede-rollup rebuild``).
+:func:`verify_rollups` asserts the served statistics equal the scan.
 """
 from __future__ import annotations
 
@@ -59,10 +61,10 @@ from repro.schema.stampede import SUCCESS
 __all__ = [
     "TIERS",
     "UNKNOWN_HOST",
+    "RollupCoverageError",
     "RollupMaintainer",
     "commit_seq",
     "last_commit_ts",
-    "rollup_statistics",
     "rebuild_rollups",
     "verify_rollups",
     "drop_rollups",
@@ -80,6 +82,22 @@ UNKNOWN_HOST = "unknown"
 
 _META_SEQ = "commit_seq"
 _META_TS = "last_commit_ts"
+
+
+class RollupCoverageError(RuntimeError):
+    """A workflow of the archive has no rollup row to be served from.
+
+    The loader commits rollups with the rows they summarize and the
+    long-term tier derives its own, so this is an archive written some
+    other way or with its rollup rows deleted.
+    """
+
+    def __init__(self, wf_id: int):
+        super().__init__(
+            f"workflow wf_id={wf_id} has no rollup row: run "
+            "'stampede-rollup rebuild' on the archive to derive its rollups"
+        )
+        self.wf_id = wf_id
 
 
 class _Bundle:
@@ -722,151 +740,6 @@ def drop_rollups(archive: Any, wf_ids: List[int]) -> int:
     return removed
 
 
-# -- read path --------------------------------------------------------------
-def rollup_statistics(
-    archive_or_query: Any,
-    wf_id: Optional[int] = None,
-    wf_uuid: Optional[str] = None,
-    include_descendants: bool = True,
-    include_jobs: bool = True,
-):
-    """The ``workflow_statistics`` bundle served from rollup rows.
-
-    O(descendants) point lookups instead of O(archive) scans.  Returns
-    ``None`` when the workflow (or any descendant) has no rollup row —
-    the caller falls back to the full scan.  The ``hosts`` breakdown
-    keys its ``bins`` by the epoch-aligned 60 s bucket index rather
-    than the scan's origin-relative bin; bin *sums* are identical.
-    """
-    from repro.core.statistics import (
-        HostUsage,
-        TypeBreakdown,
-        WorkflowStatistics,
-    )
-    from repro.query.api import StampedeQuery, WorkflowSummaryCounts
-
-    query = (
-        archive_or_query
-        if isinstance(archive_or_query, StampedeQuery)
-        else StampedeQuery(archive_or_query)
-    )
-    archive = query.archive
-    if wf_id is None:
-        if wf_uuid is not None:
-            wf = query.workflow_by_uuid(wf_uuid)
-            if wf is None:
-                raise ValueError(f"no workflow with uuid {wf_uuid!r}")
-        else:
-            roots = query.root_workflows()
-            if len(roots) != 1:
-                raise ValueError(
-                    f"archive holds {len(roots)} root workflows; specify wf_id"
-                )
-            wf = roots[0]
-        wf_id = wf.wf_id
-    else:
-        wf = query.workflow(wf_id)
-        if wf is None:
-            raise ValueError(f"no workflow with wf_id {wf_id}")
-
-    descendants = query.descendant_workflows(wf_id) if include_descendants else []
-    wf_ids = [wf_id] + [w.wf_id for w in descendants]
-    rollups: Dict[int, RollupWorkflowRow] = {}
-    for current in wf_ids:
-        row = archive.query(RollupWorkflowRow).eq("wf_id", current).first()
-        if row is None:
-            return None  # incomplete coverage: let the scan answer
-        rollups[current] = row
-
-    counts = WorkflowSummaryCounts()
-    cumulative = 0.0
-    for current in wf_ids:
-        row = rollups[current]
-        counts.tasks_total += row.tasks_total
-        counts.tasks_succeeded += row.tasks_succeeded
-        counts.tasks_failed += row.tasks_failed
-        counts.jobs_total += row.jobs_total
-        counts.jobs_succeeded += row.jobs_succeeded
-        counts.jobs_failed += row.jobs_failed
-        counts.jobs_retries += row.jobs_retries
-        cumulative += row.invocation_wall
-    counts.tasks_incomplete = (
-        counts.tasks_total - counts.tasks_succeeded - counts.tasks_failed
-    )
-    counts.jobs_incomplete = (
-        counts.jobs_total - counts.jobs_succeeded - counts.jobs_failed
-    )
-    for sub in descendants:
-        row = rollups[sub.wf_id]
-        counts.subwf_total += 1
-        if row.ended is None:
-            counts.subwf_incomplete += 1
-        elif row.status == SUCCESS:
-            counts.subwf_succeeded += 1
-        else:
-            counts.subwf_failed += 1
-        counts.subwf_retries += row.restarts
-
-    root_row = rollups[wf_id]
-    wall_time = (
-        root_row.ended - root_row.started
-        if root_row.started is not None and root_row.ended is not None
-        else None
-    )
-
-    breakdown: Dict[str, TypeBreakdown] = {}
-    for current in wf_ids:
-        for trow in archive.query(RollupTypeRow).eq("wf_id", current).all():
-            entry = breakdown.get(trow.transformation)
-            if entry is None:
-                breakdown[trow.transformation] = TypeBreakdown(
-                    type_name=trow.transformation,
-                    count=trow.count,
-                    succeeded=trow.succeeded,
-                    failed=trow.failed,
-                    min_runtime=trow.min_runtime,
-                    max_runtime=trow.max_runtime,
-                    total_runtime=trow.total_runtime,
-                )
-            else:
-                entry.count += trow.count
-                entry.succeeded += trow.succeeded
-                entry.failed += trow.failed
-                entry.min_runtime = min(entry.min_runtime, trow.min_runtime)
-                entry.max_runtime = max(entry.max_runtime, trow.max_runtime)
-                entry.total_runtime += trow.total_runtime
-
-    hosts: Dict[str, HostUsage] = {}
-    for current in wf_ids:
-        for hrow in archive.query(RollupHostRow).eq("wf_id", current).all():
-            if not hrow.jobs and abs(hrow.runtime) <= 1e-9:
-                continue  # fully moved off "unknown": an empty residue row
-            usage = hosts.setdefault(hrow.hostname, HostUsage(hrow.hostname))
-            usage.jobs += hrow.jobs
-            usage.total_runtime += hrow.runtime
-        for brow in (
-            archive.query(RollupHostBucketRow)
-            .eq("wf_id", current)
-            .eq("tier", TIERS[0])
-            .all()
-        ):
-            if abs(brow.runtime) <= 1e-9 and brow.hostname not in hosts:
-                continue  # moved-off residue for a host with no real usage
-            usage = hosts.setdefault(brow.hostname, HostUsage(brow.hostname))
-            usage.bins[brow.bucket] = usage.bins.get(brow.bucket, 0.0) + brow.runtime
-
-    return WorkflowStatistics(
-        wf_id=wf_id,
-        wf_uuid=wf.wf_uuid,
-        wall_time=wall_time,
-        cumulative_job_wall_time=cumulative,
-        counts=counts,
-        breakdown=sorted(breakdown.values(), key=lambda b: b.type_name),
-        jobs=query.job_details(wf_id) if include_jobs else [],
-        hosts=sorted(hosts.values(), key=lambda u: u.hostname),
-    )
-
-
 # -- rebuild / verify -------------------------------------------------------
 def _scan_rollup(query: Any, wf: WorkflowRow) -> Tuple[
     RollupWorkflowRow,
@@ -1034,11 +907,13 @@ def _scan_rollup(query: Any, wf: WorkflowRow) -> Tuple[
 
 
 def rebuild_rollups(archive: Any) -> int:
-    """Backfill rollup rows for an existing archive from a full scan.
+    """Derive an archive's rollup rows from its base tables.
 
     Drops any existing rollup rows and recomputes everything in one
-    transaction, then bumps the commit sequence.  Returns the number of
-    workflows rolled up.
+    transaction, then bumps the commit sequence so read caches notice.
+    ``last_commit_ts`` is left alone: a rebuild commits no new events, and
+    the lag gauge it feeds must keep reading the loader's last commit.
+    Returns the number of workflows rolled up.
     """
     from repro.query.api import StampedeQuery
 
@@ -1060,19 +935,18 @@ def rebuild_rollups(archive: Any) -> int:
             for entity in type_rows + host_rows + bucket_rows:
                 archive.insert(entity)
         _meta_set(archive, _META_SEQ, float(seq))
-        _meta_set(archive, _META_TS, time.time())
     return len(workflows)
 
 
 def verify_rollups(archive: Any, tolerance: float = 1e-6) -> List[str]:
-    """Assert rollup reads match the full-scan computation.
+    """Assert the statistics served from rollups match the full scan.
 
     Compares every workflow without descendants and every root with
     them.  Returns a list of human-readable mismatches (empty = parity).
     The host time bins are compared by *sum* — the rollup keys buckets
     absolutely while the scan bins relative to the run origin.
     """
-    from repro.core.statistics import workflow_statistics
+    from repro.core.statistics import scan_statistics, workflow_statistics
     from repro.query.api import StampedeQuery
 
     query = StampedeQuery(archive)
@@ -1081,23 +955,18 @@ def verify_rollups(archive: Any, tolerance: float = 1e-6) -> List[str]:
     targets = [(w, False) for w in workflows]
     targets += [(w, True) for w in workflows if w.parent_wf_id is None]
     for wf, include_descendants in targets:
-        rolled = rollup_statistics(
-            query,
+        options = dict(
             wf_id=wf.wf_id,
             include_descendants=include_descendants,
             include_jobs=False,
         )
         label = f"wf_id={wf.wf_id} descendants={include_descendants}"
-        if rolled is None:
+        try:
+            rolled = workflow_statistics(query, **options)
+        except RollupCoverageError:
             mismatches.append(f"{label}: no rollup coverage")
             continue
-        scanned = workflow_statistics(
-            query,
-            wf_id=wf.wf_id,
-            include_descendants=include_descendants,
-            include_jobs=False,
-            prefer_rollup=False,
-        )
+        scanned = scan_statistics(query, **options)
         mismatches.extend(
             f"{label}: {issue}"
             for issue in _diff_statistics(rolled, scanned, tolerance)
@@ -1183,24 +1052,33 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "command",
         choices=("rebuild", "verify", "status"),
-        help="rebuild: backfill rollups from a full scan; verify: assert "
+        help="rebuild: derive rollups from a full scan; verify: assert "
         "rollup/scan parity; status: print commit sequence and coverage",
     )
     parser.add_argument(
         "connString",
         help="archive to operate on (connection string, sqlite path, or "
-        "shard directory — rebuild/verify visit every shard)",
+        "shard directory — every shard and the long-term tier)",
     )
     args = parser.parse_args(argv)
-    from repro.archive.shard import open_archive
+    from pathlib import Path
 
-    target = open_archive(args.connString)
-    archives = getattr(target, "sources", [target])
+    from repro.archive.shard import ShardSet, open_archive
+
+    if Path(args.connString).is_dir():
+        # the shard files, then the long-term tier as federated() opens
+        # it: materialized in memory, its rollups derived on the way
+        shard_set = ShardSet.open(args.connString)
+        archives = shard_set.federated().sources
+        written = shard_set.archives
+    else:
+        target = open_archive(args.connString)
+        archives = written = getattr(target, "sources", [target])
     if args.command == "rebuild":
-        total = 0
-        for archive in archives:
-            total += rebuild_rollups(archive)
+        total = sum(rebuild_rollups(archive) for archive in written)
         print(f"rebuilt rollups for {total} workflow(s)")
+        if len(archives) > len(written):
+            print("the long-term tier's rollups are derived when it is opened")
         return 0
     if args.command == "verify":
         failures = 0
@@ -1220,8 +1098,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         lag = time.time() - ts if ts is not None else None
         covered = archive.count(RollupWorkflowRow)
         workflows = archive.count(WorkflowRow)
+        name = f"source {index}" if index < len(written) else "long-term tier"
         print(
-            f"source {index}: commit_seq={seq} "
+            f"{name}: commit_seq={seq} "
             f"coverage={covered}/{workflows} workflows "
             + (f"lag={lag:.1f}s" if lag is not None else "lag=n/a")
         )

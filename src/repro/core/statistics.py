@@ -10,7 +10,10 @@ Provides the workflow-level and job-level statistics the paper lists:
   runtime / exit code / host (jobs.txt, Tables III & IV);
 * breakdown of tasks and jobs over time on hosts.
 
-All numbers derive from the archive through the standard query interface.
+:func:`workflow_statistics` serves the bundle from the archive's rollup
+rows (:mod:`repro.core.rollup`) and fails loudly where they are missing;
+:func:`scan_statistics` recomputes it from the base tables through the
+standard query interface, as the reference rollups are verified against.
 """
 from __future__ import annotations
 
@@ -19,7 +22,15 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.rollup import TIERS, RollupCoverageError
+from repro.model.entities import (
+    RollupHostBucketRow,
+    RollupHostRow,
+    RollupTypeRow,
+    RollupWorkflowRow,
+)
 from repro.query.api import JobInstanceDetail, StampedeQuery, WorkflowSummaryCounts
+from repro.schema.stampede import SUCCESS
 
 __all__ = [
     "TypeBreakdown",
@@ -29,6 +40,7 @@ __all__ = [
     "job_rows",
     "host_breakdown",
     "workflow_statistics",
+    "scan_statistics",
     "main",
 ]
 
@@ -150,57 +162,153 @@ def host_breakdown(
     return sorted(usage.values(), key=lambda u: u.hostname)
 
 
+def _resolve(archive_or_query, wf_id: Optional[int], wf_uuid: Optional[str]):
+    """``(query, workflow)`` of a statistics call: the workflow ``wf_id``
+    names, else ``wf_uuid``, else the archive's only root."""
+    query = (
+        archive_or_query
+        if isinstance(archive_or_query, StampedeQuery)
+        else StampedeQuery(archive_or_query)
+    )
+    if wf_id is not None:
+        wf = query.workflow(wf_id)
+        if wf is None:
+            raise ValueError(f"no workflow with wf_id {wf_id}")
+    elif wf_uuid is not None:
+        wf = query.workflow_by_uuid(wf_uuid)
+        if wf is None:
+            raise ValueError(f"no workflow with uuid {wf_uuid!r}")
+    else:
+        roots = query.root_workflows()
+        if len(roots) != 1:
+            raise ValueError(f"archive holds {len(roots)} root workflows; specify wf_id")
+        wf = roots[0]
+    return query, wf
+
+
 def workflow_statistics(
     archive_or_query,
     wf_id: Optional[int] = None,
     wf_uuid: Optional[str] = None,
     include_descendants: bool = True,
     include_jobs: bool = True,
-    prefer_rollup: bool = True,
 ) -> WorkflowStatistics:
-    """Compute the full statistics bundle for one workflow run.
+    """The full statistics bundle for one workflow run, served from the
+    archive's rollup rows (:mod:`repro.core.rollup`).
 
-    When the archive carries materialized rollups (``repro.core.rollup``)
-    the aggregates are served from them — O(descendants) point lookups
-    instead of full-table scans — falling back to the scan for archives
-    without coverage.  ``include_jobs=False`` skips the per-job-instance
-    detail rows (the dashboard summary path does not render them, and
-    they are the one remaining per-instance query).
+    O(descendants) point reads whatever the archive's size.  Raises
+    :class:`~repro.core.rollup.RollupCoverageError` when the workflow or
+    a descendant has no rollup row.  The ``hosts`` breakdown keys its
+    ``bins`` by the epoch-aligned 60 s bucket index rather than the
+    scan's origin-relative bin; bin *sums* are identical.
+    ``include_jobs=False`` skips the per-job-instance detail rows (the
+    dashboard summary does not render them, and they are the one
+    per-instance query).
     """
-    query = (
-        archive_or_query
-        if isinstance(archive_or_query, StampedeQuery)
-        else StampedeQuery(archive_or_query)
-    )
-    if prefer_rollup:
-        from repro.core.rollup import rollup_statistics
+    query, wf = _resolve(archive_or_query, wf_id, wf_uuid)
+    archive = query.archive
+    wf_id = wf.wf_id
+    descendants = query.descendant_workflows(wf_id) if include_descendants else []
+    wf_ids = [wf_id] + [w.wf_id for w in descendants]
+    rollups: Dict[int, RollupWorkflowRow] = {}
+    for current in wf_ids:
+        row = archive.query(RollupWorkflowRow).eq("wf_id", current).first()
+        if row is None:
+            raise RollupCoverageError(current)
+        rollups[current] = row
 
-        stats = rollup_statistics(
-            query,
-            wf_id=wf_id,
-            wf_uuid=wf_uuid,
-            include_descendants=include_descendants,
-            include_jobs=include_jobs,
-        )
-        if stats is not None:
-            return stats
-    if wf_id is None:
-        if wf_uuid is not None:
-            wf = query.workflow_by_uuid(wf_uuid)
-            if wf is None:
-                raise ValueError(f"no workflow with uuid {wf_uuid!r}")
+    counts = WorkflowSummaryCounts()
+    cumulative = 0.0
+    for row in rollups.values():
+        counts.tasks_total += row.tasks_total
+        counts.tasks_succeeded += row.tasks_succeeded
+        counts.tasks_failed += row.tasks_failed
+        counts.jobs_total += row.jobs_total
+        counts.jobs_succeeded += row.jobs_succeeded
+        counts.jobs_failed += row.jobs_failed
+        counts.jobs_retries += row.jobs_retries
+        cumulative += row.invocation_wall
+    counts.tasks_incomplete = (
+        counts.tasks_total - counts.tasks_succeeded - counts.tasks_failed
+    )
+    counts.jobs_incomplete = (
+        counts.jobs_total - counts.jobs_succeeded - counts.jobs_failed
+    )
+    for sub in descendants:
+        row = rollups[sub.wf_id]
+        counts.subwf_total += 1
+        if row.ended is None:
+            counts.subwf_incomplete += 1
+        elif row.status == SUCCESS:
+            counts.subwf_succeeded += 1
         else:
-            roots = query.root_workflows()
-            if len(roots) != 1:
-                raise ValueError(
-                    f"archive holds {len(roots)} root workflows; specify wf_id"
-                )
-            wf = roots[0]
-        wf_id = wf.wf_id
-    else:
-        wf = query.workflow(wf_id)
-        if wf is None:
-            raise ValueError(f"no workflow with wf_id {wf_id}")
+            counts.subwf_failed += 1
+        counts.subwf_retries += row.restarts
+
+    root_row = rollups[wf_id]
+    wall_time = (
+        root_row.ended - root_row.started
+        if root_row.started is not None and root_row.ended is not None
+        else None
+    )
+
+    breakdown: Dict[str, TypeBreakdown] = {}
+    hosts: Dict[str, HostUsage] = {}
+    for current in wf_ids:
+        for trow in archive.query(RollupTypeRow).eq("wf_id", current).all():
+            entry = breakdown.setdefault(
+                trow.transformation, TypeBreakdown(trow.transformation)
+            )
+            entry.count += trow.count
+            entry.succeeded += trow.succeeded
+            entry.failed += trow.failed
+            entry.min_runtime = min(entry.min_runtime, trow.min_runtime)
+            entry.max_runtime = max(entry.max_runtime, trow.max_runtime)
+            entry.total_runtime += trow.total_runtime
+        for hrow in archive.query(RollupHostRow).eq("wf_id", current).all():
+            if not hrow.jobs and abs(hrow.runtime) <= 1e-9:
+                continue  # fully moved off "unknown": an empty residue row
+            usage = hosts.setdefault(hrow.hostname, HostUsage(hrow.hostname))
+            usage.jobs += hrow.jobs
+            usage.total_runtime += hrow.runtime
+        for brow in (
+            archive.query(RollupHostBucketRow)
+            .eq("wf_id", current)
+            .eq("tier", TIERS[0])
+            .all()
+        ):
+            if abs(brow.runtime) <= 1e-9 and brow.hostname not in hosts:
+                continue  # moved-off residue for a host with no real usage
+            usage = hosts.setdefault(brow.hostname, HostUsage(brow.hostname))
+            usage.bins[brow.bucket] = usage.bins.get(brow.bucket, 0.0) + brow.runtime
+
+    return WorkflowStatistics(
+        wf_id=wf_id,
+        wf_uuid=wf.wf_uuid,
+        wall_time=wall_time,
+        cumulative_job_wall_time=cumulative,
+        counts=counts,
+        breakdown=sorted(breakdown.values(), key=lambda b: b.type_name),
+        jobs=query.job_details(wf_id) if include_jobs else [],
+        hosts=sorted(hosts.values(), key=lambda u: u.hostname),
+    )
+
+
+def scan_statistics(
+    archive_or_query,
+    wf_id: Optional[int] = None,
+    wf_uuid: Optional[str] = None,
+    include_descendants: bool = True,
+    include_jobs: bool = True,
+) -> WorkflowStatistics:
+    """:func:`workflow_statistics` recomputed from the base tables.
+
+    O(archive): the independent reference that
+    :func:`~repro.core.rollup.verify_rollups` checks the served
+    statistics against, not a serving path.
+    """
+    query, wf = _resolve(archive_or_query, wf_id, wf_uuid)
+    wf_id = wf.wf_id
     return WorkflowStatistics(
         wf_id=wf_id,
         wf_uuid=wf.wf_uuid,
@@ -244,11 +352,15 @@ def main(argv: Optional[list] = None) -> int:
     from repro.archive.shard import open_archive
 
     archive = open_archive(args.connString)
-    stats = workflow_statistics(
-        archive,
-        wf_uuid=args.wf_uuid,
-        include_descendants=not args.no_descendants,
-    )
+    try:
+        stats = workflow_statistics(
+            archive,
+            wf_uuid=args.wf_uuid,
+            include_descendants=not args.no_descendants,
+        )
+    except RollupCoverageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print(render_summary(stats))
     print()
     print(render_breakdown(stats.breakdown))

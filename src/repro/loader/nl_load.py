@@ -68,9 +68,12 @@ def make_loader(
     validate: bool = False,
     checkpoint_source: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
-    rollup: bool = True,
 ) -> StampedeLoader:
     """Construct a StampedeLoader over a new or existing archive.
+
+    Every flush commits the archive's rollups with its rows, so whatever
+    the loader writes is readable by ``workflow_statistics`` and the
+    dashboard as soon as it commits.
 
     ``checkpoint_source`` names the input (a file path, a queue name) in
     the archive's checkpoint table and turns on crash-safe checkpointing:
@@ -98,7 +101,6 @@ def make_loader(
         validate=validate,
         checkpoint=checkpoint,
         metrics=metrics,
-        rollup=rollup,
     )
     if metrics is not None:
         bind_loader(metrics, loader)
@@ -727,13 +729,6 @@ def main(argv: Optional[list] = None) -> int:
         help="with --bus: exit after this long with no new events "
         "(default 10; 0 = drain what is queued and exit immediately)",
     )
-    parser.add_argument(
-        "--no-rollup",
-        action="store_true",
-        help="skip maintaining the materialized query rollups "
-        "(repro.core.rollup); dashboards fall back to full scans until "
-        "'stampede-rollup rebuild' backfills them",
-    )
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -818,7 +813,6 @@ def main(argv: Optional[list] = None) -> int:
         strict=not (args.tolerant or args.lint),
         validate=args.validate,
         checkpoint_source=args.input if args.checkpoint else None,
-        rollup=not args.no_rollup,
     )
     shard_set = plan = None
     if args.shard_dir is not None:

@@ -284,8 +284,14 @@ class StampedeLoader:
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         metrics: Optional[Any] = None,
-        rollup: bool = True,
     ):
+        """Write ``archive`` in batches of ``batch_size`` journal entries.
+
+        Each batch commits as one transaction together with the rollup
+        deltas it implies — always: rollups are how the archive is read
+        (:mod:`repro.core.rollup`) — and, given ``checkpoint``, with the
+        source position.
+        """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.archive = archive
@@ -336,13 +342,10 @@ class StampedeLoader:
         # incremental rollup maintenance (repro.core.rollup): observes the
         # journal as it is buffered and applies its deltas inside the same
         # flush transaction, so rollup rows share the batch's exactly-once
-        # boundary.  Off (None) only for benchmarking the bare write path.
-        if rollup:
-            from repro.core.rollup import RollupMaintainer
+        # boundary
+        from repro.core.rollup import RollupMaintainer
 
-            self.rollup: Optional[RollupMaintainer] = RollupMaintainer(archive)
-        else:
-            self.rollup = None
+        self.rollup = RollupMaintainer(archive)
         self._validator = (
             EventValidator(STAMPEDE_SCHEMA, allow_unknown_attrs=True)
             if validate
@@ -438,11 +441,10 @@ class StampedeLoader:
             if self.on_flush is not None:
                 self.on_flush(self)
             return
-        if self.rollup is not None:
-            # deferred subwf maps resolve at flush time, not buffer time;
-            # the maintainer dedupes re-resolution after a failed flush
-            for values, where in resolved:
-                self.rollup.observe_update(JobInstanceRow, values, where)
+        # deferred subwf maps resolve at flush time, not buffer time; the
+        # maintainer dedupes re-resolution after a failed flush
+        for values, where in resolved:
+            self.rollup.observe_update(JobInstanceRow, values, where)
         start = time.perf_counter()
 
         def record_retry(attempt: int, exc: BaseException) -> None:
@@ -457,8 +459,7 @@ class StampedeLoader:
         self._pending = []
         self._pending_since = None
         self._deferred_subwf = still_deferred
-        if self.rollup is not None:
-            self.rollup.commit()  # deltas are durable; drop the bundle
+        self.rollup.commit()  # deltas are durable; drop the bundle
         self.stats.rows_inserted += inserted
         self.stats.rows_updated += updated
         if ops:
@@ -543,13 +544,12 @@ class StampedeLoader:
                 inserted += self.archive.insert_many(run)
             for values, where in resolved:
                 updated += self.archive.update(JobInstanceRow, values, where)
-            if self.rollup is not None:
-                # rollup deltas land inside this same transaction: the
-                # materialized counters are exactly as durable as the
-                # rows (and the checkpoint) they summarize
-                rollup_ins, rollup_upd = self.rollup.apply(self.archive)
-                inserted += rollup_ins
-                updated += rollup_upd
+            # rollup deltas land inside this same transaction: the
+            # materialized counters are exactly as durable as the rows (and
+            # the checkpoint) they summarize
+            rollup_ins, rollup_upd = self.rollup.apply(self.archive)
+            inserted += rollup_ins
+            updated += rollup_upd
             if self.checkpoint is not None:
                 # the stats counters are only bumped after the commit
                 # succeeds, so fold this batch's contribution in here —
@@ -584,11 +584,10 @@ class StampedeLoader:
         }
         if self.reseq_state is not None:
             state["reseq_next"] = self.reseq_state()
-        if self.rollup is not None:
-            # tracking maps only — pending deltas commit in the same
-            # transaction as this checkpoint, so a resume re-derives any
-            # unflushed bundle from the re-read events
-            state["rollup"] = self.rollup.to_state()
+        # tracking maps only — pending deltas commit in the same transaction
+        # as this checkpoint, so a resume re-derives any unflushed bundle
+        # from the re-read events
+        state["rollup"] = self.rollup.to_state()
         return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
@@ -605,7 +604,7 @@ class StampedeLoader:
             str(pub): int(nxt)
             for pub, nxt in state.get("reseq_next", {}).items()
         }
-        if self.rollup is not None and "rollup" in state:
+        if "rollup" in state:
             self.rollup.restore_state(state["rollup"])
         counters = state.get("stats", {})
         self.stats.events_processed = int(counters.get("events_processed", 0))
@@ -631,15 +630,13 @@ class StampedeLoader:
     # ------------------------------------------------------------- helpers --
     def _buffer(self, entity: Any) -> None:
         self._pending.append(("insert", entity))
-        if self.rollup is not None:
-            self.rollup.observe_insert(entity)
+        self.rollup.observe_insert(entity)
 
     def _buffer_update(
         self, entity_type: type, values: Dict[str, Any], where: Dict[str, Any]
     ) -> None:
         self._pending.append(("update", entity_type, values, where))
-        if self.rollup is not None:
-            self.rollup.observe_update(entity_type, values, where)
+        self.rollup.observe_update(entity_type, values, where)
 
     def _wf(self, event: NLEvent) -> _WorkflowCache:
         uuid = str(event.get("xwf.id", ""))

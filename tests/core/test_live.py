@@ -19,13 +19,13 @@ import pytest
 from repro.core import live
 from repro.core.dashboard import Dashboard, DashboardData
 from repro.core.live import LiveFeed, ReadCache
-from repro.core.rollup import drop_rollups
+from repro.core.rollup import RollupCoverageError, drop_rollups, rebuild_rollups
 from repro.loader import load_events, make_loader
 from repro.model.entities import WorkflowRow
 from repro.obs.metrics import MetricsRegistry
 
 from tests.bus.test_net import wait_until
-from tests.helpers import diamond_events
+from tests.helpers import diamond_events, strip_rollups
 
 XWF2 = "22222222-3333-4444-8555-666666666666"
 
@@ -108,15 +108,19 @@ class TestReadCache:
         assert len(calls) == 2
 
     def test_no_rollup_coverage_bypasses(self):
-        # commit_seq == 0 means no invalidation signal exists; serving a
-        # cached value would be stale forever, so every request computes
-        norollup = load_events(diamond_events(), rollup=False)
-        cache = ReadCache(norollup.archive)
-        calls = []
+        # a payload that cannot be served is never cached: every request
+        # computes and fails alike, until a rebuild moves the commit
+        # sequence and the first answer is cached like any other
+        data = DashboardData(strip_rollups(load_events(diamond_events()).archive))
         for _ in range(3):
-            cache.get("k", lambda: calls.append(1))
-        assert len(calls) == 3
-        assert cache.stats()["hits"] == 0
+            with pytest.raises(RollupCoverageError):
+                data.workflows_payload()
+        assert data.cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
+        rebuild_rollups(data.archive)
+        first = data.workflows_payload()
+        assert data.workflows_payload() == first
+        assert first["workflows"][0]["state"] == "success"
+        assert data.cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
     def test_single_flight_coalesces_concurrent_readers(self, loader):
         cache = ReadCache(loader.archive)
@@ -266,6 +270,27 @@ class TestLiveFeed:
         assert max(at for at, _ in woke) - committed < 2 * tick + 0.05
         assert feed.waiters == 0
 
+    def test_a_waiter_that_reads_ahead_wakes_the_others(self, loader):
+        """A viewer whose snapshot is newer than the watcher's last read
+        records the newer sequence itself; the watcher then has nothing
+        to announce at its next tick, so that viewer must wake the ones
+        parked on the older sequence."""
+        feed = LiveFeed(loader.archive, poll_interval=1.0)  # one read, then asleep
+        seq = feed.version()
+        woke = []
+        behind = threading.Thread(
+            target=lambda: woke.append((feed.wait_for_change(seq, 10.0), time.monotonic()))
+        )
+        behind.start()
+        wait_until(lambda: feed.waiters >= 1 and feed._seen == seq)
+        _commit(loader, 1)
+        start = time.monotonic()
+        assert feed.wait_for_change(seq + 1, timeout=0.2) == seq + 1  # reads ahead
+        behind.join(5)
+        assert woke and woke[0][0] == seq + 1
+        assert woke[0][1] - start < 0.5  # not at the watcher's next tick
+        feed.close()
+
     def test_watcher_ends_with_its_last_waiter(self, loader):
         tick = 0.02
         feed = LiveFeed(loader.archive, poll_interval=tick)
@@ -332,11 +357,16 @@ class TestLiveFeed:
             LiveFeed(loader.archive).snapshot(999)
 
     def test_snapshot_degrades_without_rollups(self):
-        norollup = load_events(diamond_events(), rollup=False)
-        snap = LiveFeed(norollup.archive).snapshot(1)
+        archive = strip_rollups(load_events(diamond_events()).archive)
+        feed = LiveFeed(archive)
+        with pytest.raises(RollupCoverageError, match="stampede-rollup rebuild"):
+            feed.snapshot(1)
+        with pytest.raises(KeyError):
+            feed.snapshot(999)  # no such workflow is still the 404 case
+        rebuild_rollups(archive)
+        snap = feed.snapshot(1)
         assert snap["state"] == "success"
-        assert snap["commit_seq"] == 0
-        assert "events" not in snap  # state-only fallback
+        assert snap["events"] > 0
 
     def test_sse_snapshot_then_idle(self, loader):
         feed = LiveFeed(loader.archive, poll_interval=0.01)

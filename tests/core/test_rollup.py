@@ -12,16 +12,16 @@ import pytest
 
 from repro.archive.store import StampedeArchive
 from repro.core.rollup import (
+    RollupCoverageError,
     RollupMaintainer,
     commit_seq,
     drop_rollups,
     last_commit_ts,
     main as rollup_main,
     rebuild_rollups,
-    rollup_statistics,
     verify_rollups,
 )
-from repro.core.statistics import workflow_statistics
+from repro.core.statistics import scan_statistics, workflow_statistics
 from repro.loader import load_events, make_loader
 from repro.model.entities import (
     RollupHostBucketRow,
@@ -31,7 +31,7 @@ from repro.model.entities import (
 )
 from repro.query.api import StampedeQuery
 
-from tests.helpers import diamond_events
+from tests.helpers import diamond_events, strip_rollups
 
 
 def _stats_equal(a, b):
@@ -69,10 +69,11 @@ class TestIncrementalParity:
     def test_rollup_statistics_equals_scan_statistics(self):
         loader = load_events(diamond_events(retries={"b": 1}))
         rolled = workflow_statistics(loader.archive, wf_id=1)
-        scanned = workflow_statistics(loader.archive, wf_id=1, prefer_rollup=False)
-        _stats_equal(rolled, scanned)
-        # the rollup path really was taken: it reports without job detail
-        assert rollup_statistics(loader.archive, wf_id=1) is not None
+        _stats_equal(rolled, scan_statistics(loader.archive, wf_id=1))
+        # the rollup rows really are what answered
+        strip_rollups(loader.archive)
+        with pytest.raises(RollupCoverageError):
+            workflow_statistics(loader.archive, wf_id=1)
 
     def test_interleaved_workflows_stay_independent(self):
         """Two workflows' event streams merged round-robin: per-workflow
@@ -124,16 +125,21 @@ class TestCommitSequence:
 
 class TestRebuildAndVerify:
     def test_rebuild_backfills_norollup_archive(self):
-        loader = load_events(diamond_events(fail_job="b"), rollup=False)
-        archive = loader.archive
-        assert archive.count(RollupWorkflowRow) == 0
-        assert rollup_statistics(archive, wf_id=1) is None
-        # scan fallback keeps workflow_statistics working meanwhile
-        scanned = workflow_statistics(archive, wf_id=1)
+        archive = strip_rollups(load_events(diamond_events(fail_job="b")).archive)
+        assert commit_seq(archive) == 0
+        # nothing serves an uncovered workflow: the error names the fix
+        with pytest.raises(RollupCoverageError, match="stampede-rollup rebuild"):
+            workflow_statistics(archive, wf_id=1)
+        assert verify_rollups(archive) == [
+            "wf_id=1 descendants=False: no rollup coverage",
+            "wf_id=1 descendants=True: no rollup coverage",
+        ]
+        scanned = scan_statistics(archive, wf_id=1)
         assert scanned.counts.jobs_failed == 1
         rebuild_rollups(archive)
         assert archive.count(RollupWorkflowRow) == 1
         assert commit_seq(archive) > 0
+        assert last_commit_ts(archive) is None  # a rebuild commits no events
         assert verify_rollups(archive) == []
         _stats_equal(workflow_statistics(archive, wf_id=1), scanned)
 
@@ -325,6 +331,11 @@ class TestShardedAndTiered:
             sum(a.count(RollupWorkflowRow) for a in shard_set.archives)
             == len(self.ROOTS)
         )
+        hot = shard_set.federated()
+        hot_seq = commit_seq(hot)
+        hot_stats = {
+            uuid: workflow_statistics(hot, wf_uuid=uuid) for uuid in self.ROOTS
+        }
 
         report = tier_finished(shard_set)
         assert report.tiered_roots == len(self.ROOTS)
@@ -335,13 +346,22 @@ class TestShardedAndTiered:
         # ...and the commit sequence moved, so read caches invalidate
         assert sum(commit_seq(a) for a in shard_set.archives) > before
 
-        # the long-term tier has no rollups; statistics still work there
-        # through the scan fallback
+        # the long-term tier derives its rollups on open: tiered roots are
+        # served from them, with the values they had in the hot shards
         fed = shard_set.federated()
-        root = StampedeQuery(fed).root_workflows()[0]
-        assert rollup_statistics(fed, wf_id=root.wf_id) is None
-        scanned = workflow_statistics(fed, wf_id=root.wf_id)
-        assert scanned.counts.jobs_total > 0
+        tier = fed.sources[-1]
+        assert tier.count(RollupWorkflowRow) == len(self.ROOTS)
+        assert verify_rollups(tier) == []
+        for uuid, expected in hot_stats.items():
+            _stats_equal(workflow_statistics(fed, wf_uuid=uuid), expected)
+        # deriving them is not a commit: the lag gauge still reads the
+        # shards' last one, and the federated sequence only moved forward
+        assert last_commit_ts(tier) is None
+        assert last_commit_ts(fed) == max(
+            last_commit_ts(a) for a in shard_set.archives
+        )
+        assert commit_seq(fed) > hot_seq
+        assert commit_seq(shard_set.federated()) == commit_seq(fed)
         shard_set.close()
 
 
@@ -362,27 +382,49 @@ class TestHierarchy:
         root = query.root_workflows()[0]
         _stats_equal(
             workflow_statistics(loader.archive, wf_id=root.wf_id),
-            workflow_statistics(
-                loader.archive, wf_id=root.wf_id, prefer_rollup=False
-            ),
+            scan_statistics(loader.archive, wf_id=root.wf_id),
         )
 
 
 class TestCli:
     def test_rebuild_verify_status(self, tmp_path, capsys):
         db = tmp_path / "run.db"
-        loader = load_events(
-            diamond_events(),
-            conn_string=f"sqlite:///{db}",
-            rollup=False,
-        )
+        loader = load_events(diamond_events(), conn_string=f"sqlite:///{db}")
+        strip_rollups(loader.archive)
         loader.archive.close()
         conn = f"sqlite:///{db}"
+        assert rollup_main(["verify", conn]) == 1
         assert rollup_main(["rebuild", conn]) == 0
         assert rollup_main(["verify", conn]) == 0
         assert rollup_main(["status", conn]) == 0
         out = capsys.readouterr().out
         assert "commit_seq" in out
+        assert "coverage=1/1 workflows" in out
+
+    def test_tiered_shard_dir(self, tmp_path, capsys):
+        from repro.loader.nl_load import main as nl_main
+        from repro.netlogger.stream import write_events
+
+        roots = TestShardedAndTiered.ROOTS
+        bp = tmp_path / "run.bp"
+        write_events(bp, TestShardedAndTiered()._workload())
+        shards = str(tmp_path / "shards")
+        assert nl_main(
+            [str(bp), "--shard-dir", shards, "--shards", "2", "--tier-finished"]
+        ) == 0
+        capsys.readouterr()
+        assert rollup_main(["verify", shards]) == 0
+        assert rollup_main(["rebuild", shards]) == 0
+        assert rollup_main(["status", shards]) == 0
+        out = capsys.readouterr().out
+        assert "rollups match the full-scan statistics" in out
+        # rebuild writes the shard files only: every workflow was tiered
+        assert "rebuilt rollups for 0 workflow(s)" in out
+        assert "the long-term tier's rollups are derived when it is opened" in out
+        assert (
+            f"long-term tier: commit_seq=1 coverage={len(roots)}/{len(roots)} "
+            "workflows lag=n/a"
+        ) in out
 
     def test_verify_fails_on_divergence(self, tmp_path):
         db = tmp_path / "bad.db"
@@ -392,3 +434,65 @@ class TestCli:
         )
         loader.archive.close()
         assert rollup_main(["verify", f"sqlite:///{db}"]) == 1
+
+
+class TestMissingCoverage:
+    """An archive without rollups is served by nobody: every read surface
+    fails with the one error naming the fix, and answers again — with the
+    scan's values — once the rollups are rebuilt."""
+
+    def test_every_surface_fails_loudly_until_rebuilt(self, tmp_path, capsys):
+        import json
+        import urllib.error
+        import urllib.request
+
+        from repro.core.dashboard import Dashboard
+        from repro.core.live import LiveFeed
+        from repro.core.reports import main as reports_main
+        from repro.core.statistics import main as statistics_main
+
+        conn = f"sqlite:///{tmp_path / 'run.db'}"
+        archive = strip_rollups(
+            load_events(diamond_events(fail_job="b"), conn_string=conn).archive
+        )
+        with pytest.raises(RollupCoverageError) as caught:
+            workflow_statistics(archive, wf_id=1)
+        message = str(caught.value)
+        assert "stampede-rollup rebuild" in message
+        with pytest.raises(RollupCoverageError) as from_feed:
+            LiveFeed(archive).snapshot(1)
+        assert str(from_feed.value) == message
+        capsys.readouterr()
+        for cli in (statistics_main, reports_main):
+            assert cli([conn]) == 1
+            err = capsys.readouterr().err
+            assert err == message + "\n"  # one line, no traceback
+        with Dashboard(archive) as dash:
+            for path in ("/api/workflows", "/api/workflow/1"):
+                with pytest.raises(urllib.error.HTTPError) as http:
+                    urllib.request.urlopen(dash.url + path, timeout=10)
+                assert http.value.code == 500, path
+                assert http.value.reason == message
+                assert message in http.value.read().decode()
+
+        rebuild_rollups(archive)
+        scanned = scan_statistics(archive, wf_id=1)
+        _stats_equal(workflow_statistics(archive, wf_id=1), scanned)
+        snap = LiveFeed(archive).snapshot(1)
+        assert snap["state"] == "failed"
+        assert snap["jobs_failed"] == scanned.counts.jobs_failed == 1
+        assert snap["tasks_succeeded"] == scanned.counts.tasks_succeeded
+        for cli in (statistics_main, reports_main):
+            assert cli([conn]) == 0
+            assert "Workflow wall time" in capsys.readouterr().out
+        with Dashboard(archive) as dash:
+            with urllib.request.urlopen(dash.url + "/api/workflows", timeout=10) as r:
+                (listed,) = json.loads(r.read())["workflows"]
+            with urllib.request.urlopen(dash.url + "/api/workflow/1", timeout=10) as r:
+                summary = json.loads(r.read())
+        assert listed["state"] == "failed"
+        assert summary["counts"] == dataclasses.asdict(scanned.counts)
+        assert summary["wall_time"] == pytest.approx(scanned.wall_time)
+        assert summary["cumulative_job_wall_time"] == pytest.approx(
+            scanned.cumulative_job_wall_time
+        )

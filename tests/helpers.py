@@ -64,6 +64,29 @@ def await_line(stream: IO[str], containing: str, timeout: float = 30.0) -> str:
         ) from None
 
 
+def strip_rollups(archive):
+    """Delete a loaded archive's rollup rows and ``rollup_meta``: an
+    archive as something other than the loader might have written it."""
+    from repro.model.entities import (
+        RollupHostBucketRow,
+        RollupHostRow,
+        RollupMetaRow,
+        RollupTypeRow,
+        RollupWorkflowRow,
+    )
+
+    with archive.transaction():
+        for etype in (
+            RollupWorkflowRow,
+            RollupTypeRow,
+            RollupHostRow,
+            RollupHostBucketRow,
+            RollupMetaRow,
+        ):
+            archive.delete(etype, {})
+    return archive
+
+
 def _ev(name: str, ts: float, **attrs) -> NLEvent:
     attrs.setdefault("xwf.id", XWF)
     return NLEvent(name, ts, attrs)

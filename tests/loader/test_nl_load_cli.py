@@ -119,6 +119,8 @@ REFUSALS = [
     (["{bp}", "--workers", "2"], "unrecognized arguments"),
     (["{bp}", "--worker-mode", "process"], "unrecognized arguments"),
     (["{bp}", "--chunk-size", "64"], "unrecognized arguments"),
+    # rollups are how the archive is read: a load cannot skip them
+    (["{bp}", "--no-rollup"], "unrecognized arguments"),
 ]
 
 
