@@ -17,7 +17,10 @@ scale, the latency of the summary for one fixed target workflow:
   because it grows with the archive);
 * ``cached_ms``  — ``DashboardData.workflow_payload`` through the
   commit-seq :class:`~repro.core.live.ReadCache` (what the 2nd..Nth
-  concurrent viewer pays).
+  concurrent viewer pays);
+* ``rebuild_ms`` — ``rebuild_rollups`` over the whole archive (what
+  ``stampede-rollup rebuild`` and every long-term-tier open pay; grows
+  with the archive, reported ungated).
 
 Gates (all tunable via flags / environment):
 
@@ -50,7 +53,7 @@ from pathlib import Path
 
 from repro.archive.store import StampedeArchive
 from repro.core.dashboard import DashboardData
-from repro.core.rollup import commit_seq, verify_rollups
+from repro.core.rollup import commit_seq, rebuild_rollups, verify_rollups
 from repro.core.statistics import scan_statistics, workflow_statistics
 from repro.loader.stampede_loader import StampedeLoader
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
@@ -144,16 +147,22 @@ def _measure_scale(
         data.workflow_payload(target)  # prime: the one computation
         cached_ms = _time_ms(lambda: data.workflow_payload(target), iterations)
         cache_stats = data.cache.stats()
+        seq = commit_seq(archive)
+        # last: each rebuild rewrites the rollups and bumps the sequence
+        rebuild_ms = _time_ms(
+            lambda: rebuild_rollups(archive), max(3, iterations // 40)
+        )
 
         from repro.model.entities import WorkflowRow
 
         return {
             "workflows": archive.count(WorkflowRow),
             "db_bytes": (workdir / f"query-x{factor}.db").stat().st_size,
-            "commit_seq": commit_seq(archive),
+            "commit_seq": seq,
             "rollup_ms": rollup_ms,
             "scan_ms": scan_ms,
             "cached_ms": cached_ms,
+            "rebuild_ms": rebuild_ms,
             "cache": {"hits": cache_stats["hits"], "misses": cache_stats["misses"]},
         }
     finally:

@@ -28,8 +28,11 @@ Rollups are the archive's only read path: every archive the system
 writes carries them, and the long-term tier derives its own when it is
 opened.  A workflow without a rollup row is served by nobody — readers
 raise :class:`RollupCoverageError`, whose message names the fix,
-:func:`rebuild_rollups` (``stampede-rollup rebuild``).
-:func:`verify_rollups` asserts the served statistics equal the scan.
+:func:`rebuild_rollups` (``stampede-rollup rebuild``).  A rebuild replays
+the archive's base rows through a fresh :class:`RollupMaintainer`, so
+every rollup row is derived by the code each loader flush runs;
+:func:`verify_rollups` checks the served statistics against the one
+independent oracle, the scan.
 """
 from __future__ import annotations
 
@@ -79,6 +82,9 @@ TIERS: Tuple[int, ...] = (60, 600, 3600)
 #: hostname bucket for job instances not (yet) attached to a host —
 #: mirrors the scan's ``hostname = "unknown"`` attribution
 UNKNOWN_HOST = "unknown"
+
+#: the four tables the rollups live in (``rollup_meta`` aside)
+_ROLLUP_TABLES = (RollupWorkflowRow, RollupTypeRow, RollupHostRow, RollupHostBucketRow)
 
 _META_SEQ = "commit_seq"
 _META_TS = "last_commit_ts"
@@ -727,12 +733,7 @@ def drop_rollups(archive: Any, wf_ids: List[int]) -> int:
     if not wf_ids:
         return 0
     removed = 0
-    for etype in (
-        RollupWorkflowRow,
-        RollupTypeRow,
-        RollupHostRow,
-        RollupHostBucketRow,
-    ):
+    for etype in _ROLLUP_TABLES:
         removed += archive.delete(etype, {"wf_id": list(wf_ids)})
     if removed:
         _meta_set(archive, _META_SEQ, _meta_value(archive, _META_SEQ, 0.0) + 1)
@@ -741,201 +742,82 @@ def drop_rollups(archive: Any, wf_ids: List[int]) -> int:
 
 
 # -- rebuild / verify -------------------------------------------------------
-def _scan_rollup(query: Any, wf: WorkflowRow) -> Tuple[
-    RollupWorkflowRow,
-    List[RollupTypeRow],
-    List[RollupHostRow],
-    List[RollupHostBucketRow],
-]:
-    """Compute one workflow's rollup rows from the base tables."""
-    wf_id = wf.wf_id
-    states = query.workflow_states(wf_id)
-    started = next(
-        (s.timestamp for s in states
-         if s.state == WorkflowState.WORKFLOW_STARTED.value),
-        None,
-    )
-    ended = status = None
-    for s in states:
-        if s.state == WorkflowState.WORKFLOW_TERMINATED.value:
-            if ended is None or s.timestamp >= ended:
-                ended, status = s.timestamp, s.status
-    restarts = max((s.restart_count for s in states), default=0)
+def _replay(archive: Any) -> RollupMaintainer:
+    """Feed every base row to a fresh maintainer in the loader's order.
 
-    tasks = query.tasks(wf_id)
-    invocations = query.invocations(wf_id)
-    task_outcome: Dict[str, int] = {}
-    for inv in invocations:
-        if inv.abs_task_id is not None:
-            prev = task_outcome.get(inv.abs_task_id)
-            if prev is None or prev != SUCCESS:
-                task_outcome[inv.abs_task_id] = inv.exitcode
-    tasks_succeeded = tasks_failed = 0
-    for task in tasks:
-        outcome = task_outcome.get(task.abs_task_id)
-        if outcome is None:
-            continue
-        if outcome == SUCCESS:
-            tasks_succeeded += 1
-        else:
-            tasks_failed += 1
-
-    jobs = query.jobs(wf_id)
-    instances = query.job_instances(wf_id)
-    by_job: Dict[int, List[Any]] = {}
-    for inst in instances:
-        by_job.setdefault(inst.job_id, []).append(inst)
-    jobs_succeeded = jobs_failed = jobs_retries = 0
-    for job in jobs:
-        attempts = sorted(by_job.get(job.job_id, []), key=lambda i: i.job_submit_seq)
-        jobs_retries += max(0, len(attempts) - 1)
-        if attempts and attempts[-1].exitcode is not None:
-            if attempts[-1].exitcode == SUCCESS:
-                jobs_succeeded += 1
-            else:
-                jobs_failed += 1
-
-    subwf_instances = {
-        inst.job_instance_id for inst in instances if inst.subwf_id is not None
-    }
-    invocation_wall = sum(
-        inv.remote_duration
-        for inv in invocations
-        if inv.job_instance_id not in subwf_instances
-    )
-
-    types: Dict[str, List[float]] = {}
-    for inv in invocations:
-        duration = inv.remote_duration or 0.0
-        ok = inv.exitcode == SUCCESS
-        entry = types.get(inv.transformation)
-        if entry is None:
-            types[inv.transformation] = [
-                1, 1 if ok else 0, 0 if ok else 1, duration, duration, duration,
-            ]
-        else:
-            entry[0] += 1
-            entry[1 if ok else 2] += 1
-            entry[3] = min(entry[3], duration)
-            entry[4] = max(entry[4], duration)
-            entry[5] += duration
-
-    hosts_by_id = {h.host_id: h for h in query.hosts(wf_id)}
-    jobs_by_id = {j.job_id: j for j in jobs}
-    host_usage: Dict[str, List[float]] = {}
-    buckets: Dict[Tuple[str, int, int], float] = {}
-    inv_by_instance: Dict[int, List[Any]] = {}
-    for inv in invocations:
-        inv_by_instance.setdefault(inv.job_instance_id, []).append(inv)
-    for inst in instances:
-        if inst.job_id not in jobs_by_id:
-            continue
-        host = hosts_by_id.get(inst.host_id) if inst.host_id else None
-        hostname = host.hostname if host else UNKNOWN_HOST
-        entry = host_usage.setdefault(hostname, [0, 0.0])
-        entry[0] += 1
-        entry[1] += inst.local_duration or 0.0
-        for inv in inv_by_instance.get(inst.job_instance_id, []):
-            for tier in TIERS:
-                key = (hostname, tier, int(inv.start_time // tier))
-                buckets[key] = buckets.get(key, 0.0) + inv.remote_duration
-
-    # mirror the maintainer's tally exactly: every observed row insert of
-    # this workflow counts — the workflow row itself, states, tasks and
-    # task edges, jobs and job edges, instances, per-instance jobstates,
-    # invocations, and host registrations
-    jobstates = sum(
-        len(query.job_states(inst.job_instance_id)) for inst in instances
-    )
-    events = (
-        1
-        + len(states)
-        + len(tasks)
-        + len(query.task_edges(wf_id))
-        + len(jobs)
-        + len(query.job_edges(wf_id))
-        + len(instances)
-        + jobstates
-        + len(invocations)
-        + len(query.hosts(wf_id))
-    )
-    row = RollupWorkflowRow(
-        wf_id=wf_id,
-        wf_uuid=wf.wf_uuid,
-        parent_wf_id=wf.parent_wf_id,
-        root_wf_id=wf.root_wf_id,
-        events=events,
-        tasks_total=len(tasks),
-        tasks_succeeded=tasks_succeeded,
-        tasks_failed=tasks_failed,
-        jobs_total=len(jobs),
-        jobs_succeeded=jobs_succeeded,
-        jobs_failed=jobs_failed,
-        jobs_retries=jobs_retries,
-        job_instances=len(instances),
-        invocations=len(invocations),
-        invocation_wall=invocation_wall,
-        started=started,
-        ended=ended,
-        status=status,
-        restarts=restarts,
-    )
-    type_rows = [
-        RollupTypeRow(
-            wf_id=wf_id,
-            transformation=name,
-            count=int(e[0]),
-            succeeded=int(e[1]),
-            failed=int(e[2]),
-            min_runtime=e[3],
-            max_runtime=e[4],
-            total_runtime=e[5],
-        )
-        for name, e in sorted(types.items())
-    ]
-    host_rows = [
-        RollupHostRow(wf_id=wf_id, hostname=name, jobs=int(e[0]), runtime=e[1])
-        for name, e in sorted(host_usage.items())
-    ]
-    bucket_rows = [
-        RollupHostBucketRow(
-            wf_id=wf_id, hostname=name, tier=tier, bucket=bucket, runtime=runtime
-        )
-        for (name, tier, bucket), runtime in sorted(buckets.items())
-    ]
-    return row, type_rows, host_rows, bucket_rows
+    Each table is read once, whole, in key order.  Instances are observed
+    bare, then their host and sub-workflow attaches, so invocations credit
+    the attached host directly; each instance's end comes last, once
+    every attempt of its job is known.
+    """
+    maintainer = RollupMaintainer(archive)
+    observe = maintainer.observe_insert
+    for wf in archive.query(WorkflowRow).order_by("wf_id").all():
+        observe(wf)
+    states = archive.query(WorkflowStateRow).all()
+    for state in sorted(states, key=lambda s: s.timestamp):
+        observe(state)
+    for etype, key in (
+        (TaskRow, "task_id"),
+        (TaskEdgeRow, None),
+        (JobRow, "job_id"),
+        (JobEdgeRow, None),
+        (HostRow, "host_id"),
+    ):
+        rows = archive.query(etype)
+        for row in (rows.order_by(key) if key else rows).all():
+            observe(row)
+    attaches, ends = [], []
+    for inst in archive.query(JobInstanceRow).order_by("job_instance_id").all():
+        where = {"job_instance_id": inst.job_instance_id}
+        attach = {
+            column: getattr(inst, column)
+            for column in ("host_id", "subwf_id")
+            if getattr(inst, column) is not None
+        }
+        if attach:
+            attaches.append((attach, where))
+        if inst.exitcode is not None or inst.local_duration is not None:
+            end = {"exitcode": inst.exitcode, "local_duration": inst.local_duration}
+            ends.append((end, where))
+        # the loader inserts an instance bare: these arrive as updates
+        inst.host_id = inst.subwf_id = inst.exitcode = inst.local_duration = None
+        observe(inst)
+    for values, where in attaches:
+        maintainer.observe_update(JobInstanceRow, values, where)
+    for row in archive.query(JobStateRow).all():
+        observe(row)
+    for row in archive.query(InvocationRow).order_by("invocation_id").all():
+        observe(row)
+    for values, where in ends:
+        maintainer.observe_update(JobInstanceRow, values, where)
+    return maintainer
 
 
 def rebuild_rollups(archive: Any) -> int:
     """Derive an archive's rollup rows from its base tables.
 
-    Drops any existing rollup rows and recomputes everything in one
-    transaction, then bumps the commit sequence so read caches notice.
+    Drops any existing rollup rows and replays the base rows through a
+    :class:`RollupMaintainer` in one transaction — the code every loader
+    flush runs — then bumps the commit sequence so read caches notice.
     ``last_commit_ts`` is left alone: a rebuild commits no new events, and
     the lag gauge it feeds must keep reading the loader's last commit.
     Returns the number of workflows rolled up.
     """
-    from repro.query.api import StampedeQuery
-
-    query = StampedeQuery(archive)
-    workflows = query.workflows()
     with archive.transaction():
-        for etype in (
-            RollupWorkflowRow,
-            RollupTypeRow,
-            RollupHostRow,
-            RollupHostBucketRow,
-        ):
+        for etype in _ROLLUP_TABLES:
             archive.delete(etype, {})
         seq = int(_meta_value(archive, _META_SEQ, 0.0)) + 1
-        for wf in workflows:
-            row, type_rows, host_rows, bucket_rows = _scan_rollup(query, wf)
-            row.updated_seq = seq
-            archive.insert(row)
-            for entity in type_rows + host_rows + bucket_rows:
-                archive.insert(entity)
+        ts = last_commit_ts(archive)
+        _replay(archive).apply(archive)
+        # apply() writes nothing for an archive without rows, and stamps a
+        # last_commit_ts this rebuild must not leave behind
         _meta_set(archive, _META_SEQ, float(seq))
-    return len(workflows)
+        if ts is None:
+            archive.delete(RollupMetaRow, {"key": _META_TS})
+        else:
+            _meta_set(archive, _META_TS, ts)
+    return archive.count(RollupWorkflowRow)
 
 
 def verify_rollups(archive: Any, tolerance: float = 1e-6) -> List[str]:
@@ -1052,7 +934,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "command",
         choices=("rebuild", "verify", "status"),
-        help="rebuild: derive rollups from a full scan; verify: assert "
+        help="rebuild: derive rollups by replaying the base rows; verify: assert "
         "rollup/scan parity; status: print commit sequence and coverage",
     )
     parser.add_argument(

@@ -66,6 +66,12 @@ class Table:
             )
             for c in self.columns
         ]
+        # the read side's plan: a stored value that already has the exact
+        # Python type needs no from_storage call
+        self._decode_plan = [
+            (c.name, c.type.from_storage, _PASSTHROUGH.get(type(c.type)))
+            for c in self.columns
+        ]
 
     # -- DDL -------------------------------------------------------------------
     def create_sql(self) -> str:
@@ -119,10 +125,12 @@ class Table:
 
     def from_storage(self, values: Sequence[Any]) -> Dict[str, Any]:
         """Convert a storage tuple (in column order) back to a row dict."""
-        return {
-            col.name: col.type.from_storage(value)
-            for col, value in zip(self.columns, values)
-        }
+        out: Dict[str, Any] = {}
+        for (name, from_storage, exact), value in zip(self._decode_plan, values):
+            out[name] = (
+                value if value is None or type(value) is exact else from_storage(value)
+            )
+        return out
 
     def column_names(self) -> List[str]:
         return self._names

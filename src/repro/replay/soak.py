@@ -90,6 +90,11 @@ def mixed_trace(seed: int = 11, scale: int = 1) -> List[TraceRecord]:
     ``scale`` multiplies each generator's size knob.  Workflow ids are
     already distinct (different generators, different seeds), so the
     composition keeps identities; storm multiplication is what remaps.
+
+    The byte stream depends on ``PYTHONHASHSEED`` (a set of strings is
+    iterated below this function), so it differs between processes for
+    one ``seed``; ``benchmarks/e2e`` pins the hash seed to 0 and checks a
+    digest of its input.
     """
     from repro.dart.pegasus_variant import run_dart_pegasus
     from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow

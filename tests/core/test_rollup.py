@@ -144,18 +144,23 @@ class TestRebuildAndVerify:
         _stats_equal(workflow_statistics(archive, wf_id=1), scanned)
 
     def test_rebuild_is_idempotent(self):
-        loader = load_events(diamond_events(retries={"b": 1, "c": 1}))
-        rows_before = sorted(
-            dataclasses.astuple(r)[:-1]  # strip updated_seq
-            for r in loader.archive.query(RollupWorkflowRow).all()
-        )
-        rebuild_rollups(loader.archive)
-        rows_after = sorted(
-            dataclasses.astuple(r)[:-1]
-            for r in loader.archive.query(RollupWorkflowRow).all()
-        )
-        assert rows_before == rows_after
-        assert verify_rollups(loader.archive) == []
+        """A rebuild replays the archive through the loader's maintainer,
+        so it lands on the rows the loader wrote, in all four tables."""
+        merged, batch_size = _interleaved(0)
+        for events, batch_size in (
+            (diamond_events(retries={"b": 1, "c": 1}), 500),
+            (merged, batch_size),
+            (_dart_events(), 100),  # sub-workflow invocation_wall take-back
+        ):
+            loader = load_events(list(events), batch_size=batch_size)
+            before = _rollup_dump(loader.archive)
+            rebuild_rollups(loader.archive)
+            after = _rollup_dump(loader.archive)
+            for table_before, table_after in zip(before, after):
+                assert len(table_after) == len(table_before)
+                for row_after, row_before in zip(table_after, table_before):
+                    assert row_after == pytest.approx(row_before)
+            assert verify_rollups(loader.archive) == []
 
     def test_verify_catches_corruption(self):
         loader = load_events(diamond_events())
@@ -238,25 +243,31 @@ class TestInterleavingProperty:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_interleavings_match_scan(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        streams = []
-        for i, xwf in enumerate(self.XWFS):
-            kwargs = {}
-            if xwf:
-                kwargs["xwf"] = xwf
-            if i % 2:
-                kwargs["retries"] = {"c": 1 + i}
-            else:
-                kwargs["fail_job"] = "b"
-            streams.append(list(diamond_events(**kwargs)))
-        merged = []
-        while any(streams):
-            merged.append(rng.choice([s for s in streams if s]).pop(0))
-        loader = load_events(merged, batch_size=rng.choice([1, 3, 7, 50]))
+        merged, batch_size = _interleaved(seed)
+        loader = load_events(merged, batch_size=batch_size)
         assert loader.archive.count(RollupWorkflowRow) == len(self.XWFS)
         assert verify_rollups(loader.archive) == []
+
+
+def _interleaved(seed):
+    """Three diamonds' streams merged at random, and a random batch size."""
+    import random
+
+    rng = random.Random(seed)
+    streams = []
+    for i, xwf in enumerate(TestInterleavingProperty.XWFS):
+        kwargs = {}
+        if xwf:
+            kwargs["xwf"] = xwf
+        if i % 2:
+            kwargs["retries"] = {"c": 1 + i}
+        else:
+            kwargs["fail_job"] = "b"
+        streams.append(list(diamond_events(**kwargs)))
+    merged = []
+    while any(streams):
+        merged.append(rng.choice([s for s in streams if s]).pop(0))
+    return merged, rng.choice([1, 3, 7, 50])
 
 
 class TestChaos:
@@ -367,15 +378,7 @@ class TestShardedAndTiered:
 
 class TestHierarchy:
     def test_dart_subworkflows_match_scan(self):
-        from repro.dart import run_dart_experiment
-        from repro.dart.sweep import generate_commands
-        from repro.triana.appender import MemoryAppender
-
-        sink = MemoryAppender()
-        run_dart_experiment(
-            sink, seed=7, commands=generate_commands()[:48], chunk_size=16
-        )
-        loader = load_events(list(sink.events), batch_size=100)
+        loader = load_events(_dart_events(), batch_size=100)
         assert loader.archive.count(RollupWorkflowRow) > 1  # root + bundles
         assert verify_rollups(loader.archive) == []
         query = StampedeQuery(loader.archive)
@@ -384,6 +387,19 @@ class TestHierarchy:
             workflow_statistics(loader.archive, wf_id=root.wf_id),
             scan_statistics(loader.archive, wf_id=root.wf_id),
         )
+
+
+def _dart_events():
+    """A DART sweep: a root workflow and its sub-workflow bundles."""
+    from repro.dart import run_dart_experiment
+    from repro.dart.sweep import generate_commands
+    from repro.triana.appender import MemoryAppender
+
+    sink = MemoryAppender()
+    run_dart_experiment(
+        sink, seed=7, commands=generate_commands()[:48], chunk_size=16
+    )
+    return list(sink.events)
 
 
 class TestCli:
