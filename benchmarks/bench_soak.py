@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.faults.plan import FaultPlan
 from repro.replay.shape import parse_shape
-from repro.replay.soak import mixed_trace, run_soak, storm_stream
+from repro.replay.soak import MAX_RSS_MB, mixed_trace, run_soak, storm_stream
 
 #: drop + duplicate + reorder, armed only after `--arm-at` of the replay
 CHAOS_SPEC = {
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     parser.add_argument("--queue-max", type=int, default=20_000)
     parser.add_argument("--min-throughput", type=float, default=1_000.0)
     parser.add_argument("--max-p99-commit", type=float, default=8.0)
-    parser.add_argument("--max-rss-mb", type=float, default=1_500.0)
+    parser.add_argument("--max-rss-mb", type=float, default=MAX_RSS_MB)
     parser.add_argument("--workdir", default=None, help="archive dir (default: temp)")
     parser.add_argument("-o", "--output", default=None, help="write JSON report here")
     args = parser.parse_args(argv)

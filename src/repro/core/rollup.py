@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.model.entities import (
     HostRow,
@@ -85,6 +85,9 @@ UNKNOWN_HOST = "unknown"
 
 #: the four tables the rollups live in (``rollup_meta`` aside)
 _ROLLUP_TABLES = (RollupWorkflowRow, RollupTypeRow, RollupHostRow, RollupHostBucketRow)
+
+#: ids per ``IN (...)`` select of a one-workflow replay (sqlite caps bound parameters)
+_IN_CHUNK = 500
 
 _META_SEQ = "commit_seq"
 _META_TS = "last_commit_ts"
@@ -152,18 +155,20 @@ class RollupMaintainer:
     """Folds the loader journal into rollup deltas; applies them in-txn.
 
     Observation happens as the loader buffers work (``observe_insert`` /
-    ``observe_update``), tracking state (task outcomes, last attempts,
-    host attachments) lives in JSON-serializable maps that ride the
-    loader checkpoint, and :meth:`apply` runs inside ``_flush_once`` so
+    ``observe_update``), and :meth:`apply` runs inside ``_flush_once`` so
     a retried transaction re-reads and re-merges idempotently.  The
     bundle is cleared by :meth:`commit` only after the flush commits —
     a failed flush keeps both the journal and the bundle for the retry.
+    Tracking state (task outcomes, last attempts, host attachments) is
+    held for running workflows only, because the archive holds the rest:
+    the loader :meth:`warm`-s a workflow from its rows on a cache miss
+    and has it :meth:`forget`-ten once its root terminates.
     """
 
     def __init__(self, archive: Any):
         self.archive = archive
         self._bundle = _Bundle()
-        # -- tracking state (checkpointed) ---------------------------------
+        # -- tracking state (derivable from the archive: see warm) ---------
         # wf_id -> known abs_task_ids (tasks with a TaskRow)
         self._task_rows: Dict[int, Set[str]] = {}
         # wf_id -> {abs_task_id: counted outcome exitcode}
@@ -590,86 +595,36 @@ class RollupMaintainer:
         """Discard the applied bundle (call only after the flush commits)."""
         self._bundle = _Bundle()
 
-    # -- checkpoint state ----------------------------------------------------
-    def to_state(self) -> Dict[str, Any]:
-        """JSON-serializable tracking state (the bundle is *not* included:
-        it commits in the same transaction as the checkpoint, so a resume
-        re-derives any unflushed deltas from the re-read events)."""
-        return {
-            "task_rows": {
-                str(wf): sorted(tasks) for wf, tasks in self._task_rows.items()
-            },
-            "task_outcome": {
-                str(wf): dict(outcomes)
-                for wf, outcomes in self._task_outcome.items()
-            },
-            "orphan_outcome": {
-                str(wf): dict(outcomes)
-                for wf, outcomes in self._orphan_outcome.items()
-            },
-            "jobs": {str(job): list(entry) for job, entry in self._jobs.items()},
-            "inst": {str(ji): list(entry) for ji, entry in self._inst.items()},
-            "inst_host": {str(ji): host for ji, host in self._inst_host.items()},
-            "inst_subwf": sorted(self._inst_subwf),
-            "inst_wall": {str(ji): wall for ji, wall in self._inst_wall.items()},
-            "hosts": {str(hid): name for hid, name in self._hosts.items()},
-            "pending_host": {
-                str(ji): [
-                    entry[0],
-                    entry[1],
-                    [[tier, bucket, dur] for (tier, bucket), dur in entry[2].items()],
-                ]
-                for ji, entry in self._pending_host.items()
-            },
-        }
+    # -- cache lifetime ------------------------------------------------------
+    def warm(self, wf_id: int) -> Dict[type, List[Any]]:
+        """Re-derive one workflow's tracking state from its committed rows.
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._bundle = _Bundle()
-        self._task_rows = {
-            int(wf): set(tasks) for wf, tasks in state.get("task_rows", {}).items()
-        }
-        self._task_outcome = {
-            int(wf): {str(t): int(e) for t, e in outcomes.items()}
-            for wf, outcomes in state.get("task_outcome", {}).items()
-        }
-        self._orphan_outcome = {
-            int(wf): {str(t): int(e) for t, e in outcomes.items()}
-            for wf, outcomes in state.get("orphan_outcome", {}).items()
-        }
-        self._jobs = {
-            int(job): [
-                int(entry[0]),
-                int(entry[1]),
-                int(entry[2]),
-                None if entry[3] is None else int(entry[3]),
-            ]
-            for job, entry in state.get("jobs", {}).items()
-        }
-        self._inst = {
-            int(ji): [int(v) for v in entry]
-            for ji, entry in state.get("inst", {}).items()
-        }
-        self._inst_host = {
-            int(ji): str(host) for ji, host in state.get("inst_host", {}).items()
-        }
-        self._inst_subwf = {int(ji) for ji in state.get("inst_subwf", [])}
-        self._inst_wall = {
-            int(ji): float(wall) for ji, wall in state.get("inst_wall", {}).items()
-        }
-        self._hosts = {
-            int(hid): str(name) for hid, name in state.get("hosts", {}).items()
-        }
-        self._pending_host = {
-            int(ji): [
-                int(entry[0]),
-                float(entry[1]),
-                {
-                    (int(tier), int(bucket)): float(dur)
-                    for tier, bucket, dur in entry[2]
-                },
-            ]
-            for ji, entry in state.get("pending_host", {}).items()
-        }
+        The replay's deltas are already in the rollup rows, so they are
+        discarded; the open batch's bundle is kept.  Returns the rows
+        read, by type, for the loader's own id caches.
+        """
+        pending, self._bundle = self._bundle, _Bundle()
+        try:
+            return _replay(self, wf_id)
+        finally:
+            self._bundle = pending
+
+    def forget(
+        self, wf_id: int, jobs: Iterable[int], insts: Iterable[int], hosts: Iterable[int]
+    ) -> None:
+        """Drop one workflow's tracking state (once its rows are committed)."""
+        for by_wf in (self._task_rows, self._task_outcome, self._orphan_outcome):
+            by_wf.pop(wf_id, None)
+        for job_id in jobs:
+            self._jobs.pop(job_id, None)
+        for ji_id in insts:
+            self._inst.pop(ji_id, None)
+            self._inst_host.pop(ji_id, None)
+            self._inst_subwf.discard(ji_id)
+            self._inst_wall.pop(ji_id, None)
+            self._pending_host.pop(ji_id, None)
+        for host_id in hosts:
+            self._hosts.pop(host_id, None)
 
 
 #: rollup_workflow columns apply() may change after the insert
@@ -742,20 +697,44 @@ def drop_rollups(archive: Any, wf_ids: List[int]) -> int:
 
 
 # -- rebuild / verify -------------------------------------------------------
-def _replay(archive: Any) -> RollupMaintainer:
-    """Feed every base row to a fresh maintainer in the loader's order.
+def _replay(
+    maintainer: RollupMaintainer, wf_id: Optional[int] = None
+) -> Dict[type, List[Any]]:
+    """Feed base rows to ``maintainer`` in the loader's order; returns the
+    rows read, by type.
 
-    Each table is read once, whole, in key order.  Instances are observed
-    bare, then their host and sub-workflow attaches, so invocations credit
-    the attached host directly; each instance's end comes last, once
-    every attempt of its job is known.
+    Without ``wf_id`` every row of the archive (a rebuild); with it, one
+    workflow's rows (a loader's warm): its tables by ``wf_id``, its
+    instances by its job ids, their job states by instance ids.  Each
+    table is read once, in key order.  Instances are observed bare, then
+    their host and sub-workflow attaches, so invocations credit the
+    attached host directly; each instance's end comes last, once every
+    attempt of its job is known.
     """
-    maintainer = RollupMaintainer(archive)
+    archive = maintainer.archive
+    read: Dict[type, List[Any]] = {}
+
+    def select(etype: type, key: Optional[str] = None, by: Any = None) -> List[Any]:
+        if wf_id is None:
+            queries = [archive.query(etype)]
+        elif by is None:
+            queries = [archive.query(etype).eq("wf_id", wf_id)]
+        else:
+            column, ids = by
+            ids = sorted(ids)
+            queries = [
+                archive.query(etype).where(column, "in", ids[i : i + _IN_CHUNK])
+                for i in range(0, len(ids), _IN_CHUNK)
+            ]
+        rows = read[etype] = []
+        for query in queries:
+            rows += (query.order_by(key) if key else query).all()
+        return rows
+
     observe = maintainer.observe_insert
-    for wf in archive.query(WorkflowRow).order_by("wf_id").all():
+    for wf in select(WorkflowRow, "wf_id"):
         observe(wf)
-    states = archive.query(WorkflowStateRow).all()
-    for state in sorted(states, key=lambda s: s.timestamp):
+    for state in sorted(select(WorkflowStateRow), key=lambda s: s.timestamp):
         observe(state)
     for etype, key in (
         (TaskRow, "task_id"),
@@ -764,11 +743,11 @@ def _replay(archive: Any) -> RollupMaintainer:
         (JobEdgeRow, None),
         (HostRow, "host_id"),
     ):
-        rows = archive.query(etype)
-        for row in (rows.order_by(key) if key else rows).all():
+        for row in select(etype, key):
             observe(row)
     attaches, ends = [], []
-    for inst in archive.query(JobInstanceRow).order_by("job_instance_id").all():
+    job_ids = [job.job_id for job in read[JobRow]]
+    for inst in select(JobInstanceRow, "job_instance_id", ("job_id", job_ids)):
         where = {"job_instance_id": inst.job_instance_id}
         attach = {
             column: getattr(inst, column)
@@ -785,13 +764,14 @@ def _replay(archive: Any) -> RollupMaintainer:
         observe(inst)
     for values, where in attaches:
         maintainer.observe_update(JobInstanceRow, values, where)
-    for row in archive.query(JobStateRow).all():
+    inst_ids = [inst.job_instance_id for inst in read[JobInstanceRow]]
+    for row in select(JobStateRow, None, ("job_instance_id", inst_ids)):
         observe(row)
-    for row in archive.query(InvocationRow).order_by("invocation_id").all():
+    for row in select(InvocationRow, "invocation_id"):
         observe(row)
     for values, where in ends:
         maintainer.observe_update(JobInstanceRow, values, where)
-    return maintainer
+    return read
 
 
 def rebuild_rollups(archive: Any) -> int:
@@ -809,7 +789,8 @@ def rebuild_rollups(archive: Any) -> int:
             archive.delete(etype, {})
         seq = int(_meta_value(archive, _META_SEQ, 0.0)) + 1
         ts = last_commit_ts(archive)
-        _replay(archive).apply(archive)
+        _replay(maintainer := RollupMaintainer(archive))
+        maintainer.apply(archive)
         # apply() writes nothing for an archive without rows, and stamps a
         # last_commit_ts this rebuild must not leave behind
         _meta_set(archive, _META_SEQ, float(seq))

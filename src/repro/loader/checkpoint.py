@@ -12,10 +12,11 @@ The checkpoint records:
 
 * ``position`` — how far into the source we have durably consumed: a
   byte offset for BP files, a delivery tag for bus queues;
-* ``state`` — the loader's minimal resolver state (per-workflow id
-  caches, jobstate sequence counters, deferred sub-workflow maps) as a
-  JSON blob, so a fresh process can keep issuing the same surrogate
-  keys the dead one would have.
+* ``state`` — a small JSON blob of what the archive cannot tell a fresh
+  process: parked sub-workflow maps, stats counters and, on the bus
+  path, the per-publisher resequencer floors.  Not the resolver caches:
+  any loader warms a running workflow from its committed rows, and keys
+  continue from ``MAX(id) + 1``, the ones the dead process would issue.
 """
 from __future__ import annotations
 

@@ -1026,6 +1026,7 @@ def _print_stats(loader: StampedeLoader) -> None:
         "checkpoints      : "
         f"{snap['checkpoints_written']} (resumes: {snap['resumes']})"
     )
+    print(f"cached workflows : {len(loader._workflows)}")
     if snap["queue_depth_samples"]:
         print(
             "queue depth      : "

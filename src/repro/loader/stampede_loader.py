@@ -20,6 +20,11 @@ commit (one fsync on the file backend) instead of a commit per
 statement, and a crash mid-batch leaves no partial rows behind.
 Transient backend errors (e.g. a locked sqlite file) are retried with
 exponential backoff before the batch is abandoned.
+
+The archive is the loader's state: the caches hold running workflows,
+warmed from the archive on a miss and dropped once their root's
+termination commits, so any loader opened on an archive continues the
+workflows running in it.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.archive.store import StampedeArchive
 from repro.loader.checkpoint import CheckpointManager
@@ -215,60 +220,28 @@ class LoaderStats:
 
 
 class _WorkflowCache:
-    """Identifier caches for one workflow run (one xwf.id)."""
+    """Identifier caches for one running workflow (one xwf.id)."""
 
     __slots__ = (
         "wf_id",
+        "root_wf_id",
         "task_ids",
         "job_ids",
         "job_instances",
         "host_ids",
         "jobstate_seq",
-        "static_done",
     )
 
-    def __init__(self, wf_id: int):
+    def __init__(self, wf_id: int, root_wf_id: Optional[int] = None):
         self.wf_id = wf_id
+        # whose committed termination drops this entry (itself if unknown)
+        self.root_wf_id = wf_id if root_wf_id is None else root_wf_id
         self.task_ids: Dict[str, int] = {}  # abs_task_id -> task_id
         self.job_ids: Dict[str, int] = {}  # exec_job_id -> job_id
         # (exec_job_id, submit_seq) -> job_instance_id
         self.job_instances: Dict[Tuple[str, int], int] = {}
         self.host_ids: Dict[Tuple[str, str], int] = {}  # (site, hostname) -> host_id
         self.jobstate_seq: Dict[int, int] = {}  # job_instance_id -> next seq
-        self.static_done = False
-
-    def to_state(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot (tuple keys flattened to lists)."""
-        return {
-            "wf_id": self.wf_id,
-            "task_ids": self.task_ids,
-            "job_ids": self.job_ids,
-            "job_instances": [
-                [job, seq, ji] for (job, seq), ji in self.job_instances.items()
-            ],
-            "host_ids": [
-                [site, host, hid] for (site, host), hid in self.host_ids.items()
-            ],
-            "jobstate_seq": {str(k): v for k, v in self.jobstate_seq.items()},
-            "static_done": self.static_done,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "_WorkflowCache":
-        cache = cls(int(state["wf_id"]))
-        cache.task_ids = {str(k): int(v) for k, v in state["task_ids"].items()}
-        cache.job_ids = {str(k): int(v) for k, v in state["job_ids"].items()}
-        cache.job_instances = {
-            (str(job), int(seq)): int(ji) for job, seq, ji in state["job_instances"]
-        }
-        cache.host_ids = {
-            (str(site), str(host)): int(hid) for site, host, hid in state["host_ids"]
-        }
-        cache.jobstate_seq = {
-            int(k): int(v) for k, v in state["jobstate_seq"].items()
-        }
-        cache.static_done = bool(state["static_done"])
-        return cache
 
 
 class StampedeLoader:
@@ -352,6 +325,9 @@ class StampedeLoader:
             else None
         )
         self._workflows: Dict[str, _WorkflowCache] = {}  # xwf.id -> cache
+        # roots whose WORKFLOW_TERMINATED state the open batch holds: their
+        # hierarchies leave the caches once it commits
+        self._ended_roots: Set[int] = set()
         # ordered journal of pending ops: ("insert", entity) or
         # ("update", entity_type, values, where) — replayed in order so an
         # update always lands after the insert it targets.
@@ -360,8 +336,8 @@ class StampedeLoader:
         self._deferred_subwf: List[Tuple[str, str, int, int]] = []
         self._handlers = {
             Events.WF_PLAN: self._on_wf_plan,
-            Events.STATIC_START: self._on_static_start,
-            Events.STATIC_END: self._on_static_end,
+            Events.STATIC_START: self._on_noop,
+            Events.STATIC_END: self._on_noop,
             Events.XWF_START: self._on_xwf_start,
             Events.XWF_END: self._on_xwf_end,
             Events.TASK_INFO: self._on_task_info,
@@ -460,6 +436,9 @@ class StampedeLoader:
         self._pending_since = None
         self._deferred_subwf = still_deferred
         self.rollup.commit()  # deltas are durable; drop the bundle
+        if self._ended_roots:
+            self._drop_hierarchies(self._ended_roots)
+            self._ended_roots = set()
         self.stats.rows_inserted += inserted
         self.stats.rows_updated += updated
         if ops:
@@ -566,14 +545,12 @@ class StampedeLoader:
     def export_state(
         self, deferred: Optional[List[Tuple[str, str, int, int]]] = None
     ) -> Dict[str, Any]:
-        """Minimal resolver state a fresh process needs to continue."""
+        """What the archive cannot tell a fresh process: parked sub-workflow
+        maps, stats counters and (bus path) resequencer floors."""
         if deferred is None:
             deferred = self._deferred_subwf
         state: Dict[str, Any] = {
-            "version": 1,
-            "workflows": {
-                uuid: cache.to_state() for uuid, cache in self._workflows.items()
-            },
+            "version": 2,
             "deferred_subwf": [list(item) for item in deferred],
             "stats": {
                 "events_processed": self.stats.events_processed,
@@ -584,18 +561,11 @@ class StampedeLoader:
         }
         if self.reseq_state is not None:
             state["reseq_next"] = self.reseq_state()
-        # tracking maps only — pending deltas commit in the same transaction
-        # as this checkpoint, so a resume re-derives any unflushed bundle
-        # from the re-read events
-        state["rollup"] = self.rollup.to_state()
         return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        """Rebuild resolver caches from a checkpoint's state blob."""
-        self._workflows = {
-            str(uuid): _WorkflowCache.from_state(wf_state)
-            for uuid, wf_state in state.get("workflows", {}).items()
-        }
+        """Restore an :meth:`export_state` blob (older blobs' ``workflows``
+        and ``rollup`` parts are ignored: the archive holds that state)."""
         self._deferred_subwf = [
             (str(u), str(j), int(s), int(w))
             for u, j, s, w in state.get("deferred_subwf", [])
@@ -604,8 +574,6 @@ class StampedeLoader:
             str(pub): int(nxt)
             for pub, nxt in state.get("reseq_next", {}).items()
         }
-        if "rollup" in state:
-            self.rollup.restore_state(state["rollup"])
         counters = state.get("stats", {})
         self.stats.events_processed = int(counters.get("events_processed", 0))
         self.stats.rows_inserted = int(counters.get("rows_inserted", 0))
@@ -640,7 +608,7 @@ class StampedeLoader:
 
     def _wf(self, event: NLEvent) -> _WorkflowCache:
         uuid = str(event.get("xwf.id", ""))
-        cache = self._workflows.get(uuid)
+        cache = self._lookup(uuid)
         if cache is None:
             if self.strict:
                 raise LoaderError(
@@ -654,6 +622,47 @@ class StampedeLoader:
             cache = _WorkflowCache(wf_id)
             self._workflows[uuid] = cache
         return cache
+
+    def _lookup(self, uuid: str) -> Optional[_WorkflowCache]:
+        """The caches of workflow ``uuid`` (None if the archive lacks it).
+
+        A miss costs one indexed select on ``workflow.wf_uuid`` and warms a
+        workflow found there from its rows, which are all committed: an
+        entry leaves the caches only after a commit.
+        """
+        cache = self._workflows.get(uuid)
+        if cache is None:
+            query = self.archive.query(WorkflowRow).eq("wf_uuid", uuid)
+            row = query.order_by("wf_id").first()
+            if row is not None:
+                cache = self._warm(row)
+        return cache
+
+    def _warm(self, row: WorkflowRow) -> _WorkflowCache:
+        rows = self.rollup.warm(row.wf_id)
+        cache = _WorkflowCache(row.wf_id, row.root_wf_id)
+        cache.task_ids = {t.abs_task_id: t.task_id for t in rows[TaskRow]}
+        exec_ids = {j.job_id: j.exec_job_id for j in rows[JobRow]}
+        cache.job_ids = {exec_id: job_id for job_id, exec_id in exec_ids.items()}
+        cache.job_instances = {
+            (exec_ids[i.job_id], i.job_submit_seq): i.job_instance_id
+            for i in rows[JobInstanceRow]
+        }
+        cache.host_ids = {(h.site, h.hostname): h.host_id for h in rows[HostRow]}
+        for state in rows[JobStateRow]:
+            ji_id, seq = state.job_instance_id, state.jobstate_submit_seq + 1
+            cache.jobstate_seq[ji_id] = max(cache.jobstate_seq.get(ji_id, 0), seq)
+        self._workflows[row.wf_uuid] = cache
+        return cache
+
+    def _drop_hierarchies(self, roots: Set[int]) -> None:
+        """Drop the cached workflows of these roots' hierarchies (call
+        only once their rows are committed)."""
+        for uuid, cache in list(self._workflows.items()):
+            if cache.root_wf_id in roots:
+                del self._workflows[uuid]
+                ids = (cache.job_ids, cache.job_instances, cache.host_ids)
+                self.rollup.forget(cache.wf_id, *(by_key.values() for by_key in ids))
 
     def _job_id(self, cache: _WorkflowCache, event: NLEvent) -> int:
         exec_job_id = str(event["job.id"])
@@ -715,17 +724,17 @@ class StampedeLoader:
         uuid = str(event.get("xwf.id", ""))
         if not uuid:
             raise LoaderError("stampede.wf.plan without xwf.id")
-        if uuid in self._workflows:
+        if self._lookup(uuid) is not None:
             # Restarted run of a known workflow: keep the original row.
             return
         wf_id = self.archive.next_id("workflow")
         parent_uuid = _opt_str(event.get("parent.xwf.id"))
         root_uuid = _opt_str(event.get("root.xwf.id"))
-        parent_wf = self._workflows.get(parent_uuid) if parent_uuid else None
+        parent_wf = self._lookup(parent_uuid) if parent_uuid else None
         if root_uuid == uuid:
             root_wf_id: Optional[int] = wf_id
         else:
-            root_cache = self._workflows.get(root_uuid) if root_uuid else None
+            root_cache = self._lookup(root_uuid) if root_uuid else None
             root_wf_id = root_cache.wf_id if root_cache else None
         self._buffer(
             WorkflowRow(
@@ -746,16 +755,11 @@ class StampedeLoader:
                 root_wf_id=root_wf_id,
             )
         )
-        self._workflows[uuid] = _WorkflowCache(wf_id)
-
-    def _on_static_start(self, event: NLEvent) -> None:
-        self._wf(event)
-
-    def _on_static_end(self, event: NLEvent) -> None:
-        self._wf(event).static_done = True
+        self._workflows[uuid] = _WorkflowCache(wf_id, root_wf_id)
 
     def _on_xwf_start(self, event: NLEvent) -> None:
         cache = self._wf(event)
+        self._ended_roots.discard(cache.wf_id)  # a restart: running again
         self._buffer(
             WorkflowStateRow(
                 wf_id=cache.wf_id,
@@ -767,6 +771,8 @@ class StampedeLoader:
 
     def _on_xwf_end(self, event: NLEvent) -> None:
         cache = self._wf(event)
+        if cache.root_wf_id == cache.wf_id:
+            self._ended_roots.add(cache.wf_id)
         self._buffer(
             WorkflowStateRow(
                 wf_id=cache.wf_id,
@@ -873,7 +879,7 @@ class StampedeLoader:
     ]:
         """Split deferred subwf→job-instance maps into (resolvable, not-yet).
 
-        Pure computation over the in-memory caches; the caller applies the
+        Writes nothing (it may warm the caches); the caller applies the
         resolved updates inside the flush transaction and only then adopts
         the still-pending remainder.
         """
@@ -881,8 +887,12 @@ class StampedeLoader:
         still_pending: List[Tuple[str, str, int, int]] = []
         by_wf_id = {c.wf_id: c for c in self._workflows.values()}
         for subwf_uuid, exec_job_id, submit_seq, parent_wf_id in self._deferred_subwf:
-            sub = self._workflows.get(subwf_uuid)
+            sub = self._lookup(subwf_uuid)
             parent = by_wf_id.get(parent_wf_id)
+            if parent is None and sub is not None:
+                # dropped with its hierarchy, or committed by another process
+                row = self.archive.query(WorkflowRow).eq("wf_id", parent_wf_id).first()
+                parent = self._lookup(row.wf_uuid) if row is not None else None
             ji_id = (
                 parent.job_instances.get((exec_job_id, submit_seq))
                 if parent

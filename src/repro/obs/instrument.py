@@ -215,6 +215,10 @@ def bind_loader(registry: MetricsRegistry, loader: "StampedeLoader") -> None:
             "How long the oldest buffered event of a dry live source "
             "waits for its commit (a fixed multiple of the cost, capped).",
         ).set(loader.commit_deadline())
+        reg.gauge(
+            "stampede_loader_cached_workflows",
+            "Running workflows whose identifier caches the loader holds.",
+        ).set(len(loader._workflows))
 
     registry.register_collector(collect)
 

@@ -106,7 +106,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.faults.plan import FaultPlan
-    from repro.replay.soak import mixed_trace, run_soak, storm_stream
+    from repro.replay.soak import MAX_RSS_MB, mixed_trace, run_soak, storm_stream
     from repro.replay.trace import read_trace as _read
 
     if args.trace:
@@ -148,7 +148,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         queue_max=args.queue_max,
         min_throughput=args.min_throughput,
         max_p99_commit=args.max_p99_commit,
-        max_rss_mb=args.max_rss_mb,
+        max_rss_mb=args.max_rss_mb or MAX_RSS_MB,
         progress=lambda msg: print(f"soak: {msg}", flush=True),
     )
     if args.out:
@@ -255,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-p99-commit", type=float, default=8.0, help="gate: max p99 commit (s)"
     )
-    p.add_argument(
-        "--max-rss-mb", type=float, default=1_500.0, help="gate: max peak RSS (MB)"
-    )
+    p.add_argument("--max-rss-mb", type=float, help="gate: max peak RSS (MB)")
     p.add_argument("--workdir", default=None, help="archive dir (default: temp)")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--save-trace", default=None, help="also write the storm trace")

@@ -60,6 +60,9 @@ __all__ = [
 #: queue the soak loader consumes; named so checkpoints key off it
 SOAK_QUEUE = "soak.ingest"
 
+#: default peak-RSS gate (MB): twice the peak of the CI soak-smoke configuration
+MAX_RSS_MB = 940.0
+
 
 class _SoakKill(RuntimeError):
     """Injected loader death; deliberately outside every recovery path."""
@@ -287,7 +290,7 @@ def run_soak(
     poll_timeout: float = 0.02,
     min_throughput: float = 1_000.0,
     max_p99_commit: float = 8.0,
-    max_rss_mb: float = 1_500.0,
+    max_rss_mb: float = MAX_RSS_MB,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SoakReport:
     """Run the full storm scenario; see the module docstring.

@@ -31,7 +31,7 @@ from repro.model.entities import (
 )
 from repro.query.api import StampedeQuery
 
-from tests.helpers import diamond_events, strip_rollups
+from tests.helpers import diamond_events, rollup_dump as _rollup_dump, strip_rollups
 
 
 def _stats_equal(a, b):
@@ -214,19 +214,6 @@ class TestKillResume:
         load_file(path, resumed, resume=True)
         assert verify_rollups(resumed.archive) == []
         assert _rollup_dump(resumed.archive) == expected
-
-
-def _rollup_dump(archive):
-    """Rollup rows modulo updated_seq (flush counts differ by run shape)."""
-    wf = sorted(
-        dataclasses.astuple(r)[:-1]
-        for r in archive.query(RollupWorkflowRow).all()
-    )
-    rest = [
-        sorted(dataclasses.astuple(r) for r in archive.query(t).all())
-        for t in (RollupTypeRow, RollupHostRow, RollupHostBucketRow)
-    ]
-    return [wf] + rest
 
 
 class TestInterleavingProperty:

@@ -87,6 +87,28 @@ def strip_rollups(archive):
     return archive
 
 
+def rollup_dump(archive):
+    """Rollup rows modulo updated_seq (flush counts differ by run shape)."""
+    import dataclasses
+
+    from repro.model.entities import (
+        RollupHostBucketRow,
+        RollupHostRow,
+        RollupTypeRow,
+        RollupWorkflowRow,
+    )
+
+    wf = sorted(
+        dataclasses.astuple(r)[:-1]
+        for r in archive.query(RollupWorkflowRow).all()
+    )
+    rest = [
+        sorted(dataclasses.astuple(r) for r in archive.query(t).all())
+        for t in (RollupTypeRow, RollupHostRow, RollupHostBucketRow)
+    ]
+    return [wf] + rest
+
+
 def _ev(name: str, ts: float, **attrs) -> NLEvent:
     attrs.setdefault("xwf.id", XWF)
     return NLEvent(name, ts, attrs)

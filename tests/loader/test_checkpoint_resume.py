@@ -7,12 +7,16 @@ A resumed run must therefore produce an archive byte-for-byte equivalent
 (row counts AND surrogate keys) to an uninterrupted one.
 """
 import dataclasses
+import sqlite3
+from contextlib import closing
 
 import pytest
 
+from repro.archive.merge import canonical_dump, diff_canonical
 from repro.archive.store import StampedeArchive
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
+from repro.core.rollup import verify_rollups
 from repro.loader import load_file, load_from_bus, make_loader
 from repro.loader.checkpoint import CheckpointManager
 from repro.loader.monitord import Monitord
@@ -29,9 +33,12 @@ from repro.model.entities import (
     WorkflowRow,
     WorkflowStateRow,
 )
+from repro.netlogger.events import NLEvent
 from repro.netlogger.stream import read_events_with_offsets, write_events
+from repro.replay.soak import mixed_trace, storm_stream
+from repro.schema.stampede import Events
 
-from tests.helpers import diamond_events
+from tests.helpers import XWF, diamond_events, rollup_dump
 
 ALL_ROWS = [
     WorkflowRow,
@@ -276,3 +283,178 @@ class TestBusKillAndResume:
         )
         assert dump_archive(archive2) == expected
         assert loader2.stats.events_processed == len(events)
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    return mixed_trace(seed=11)
+
+
+def _restarted_diamond():
+    """The retry diamond, then a rescue run after its ``xwf.end``: a second
+    ``xwf.start`` (``restart_count=1``) re-running job d on a new host."""
+    events = diamond_events(retries={"b": 1})
+    t = events[-1].ts
+    d2 = {"xwf.id": XWF, "job.id": "d", "job_inst.id": 2}
+
+    def ev(name, dt, **attrs):
+        return NLEvent(name, t + dt, {**d2, **attrs})
+
+    return events + [
+        NLEvent(Events.XWF_START, t + 1.0, {"xwf.id": XWF, "restart_count": 1}),
+        ev(Events.JOB_INST_SUBMIT_START, 2.0, **{"sched.id": "d.2"}),
+        ev(Events.JOB_INST_HOST_INFO, 2.5, site="local", hostname="node2"),
+        ev(Events.JOB_INST_MAIN_START, 3.0),
+        ev(
+            Events.INV_END,
+            7.0,
+            **{
+                "inv.id": 1,
+                "task.id": "d",
+                "start_time": t + 3.0,
+                "dur": 4.0,
+                "exitcode": 0,
+                "transformation": "tr_d",
+                "executable": "/bin/d",
+            },
+        ),
+        ev(
+            Events.JOB_INST_MAIN_END,
+            7.0,
+            site="local",
+            status=0,
+            exitcode=0,
+            **{"local.dur": 4.0},
+        ),
+        NLEvent(
+            Events.XWF_END, t + 8.0, {"xwf.id": XWF, "restart_count": 1, "status": 0}
+        ),
+    ]
+
+
+def _counting_warms(loader):
+    warmed = []
+    warm = loader.rollup.warm
+
+    def counting(wf_id):
+        warmed.append(wf_id)
+        return warm(wf_id)
+
+    loader.rollup.warm = counting
+    return warmed
+
+
+class TestArchiveIsTheLoaderState:
+    """The archive is the only durable copy of the resolver state: a
+    loader warms a workflow from its committed rows on a cache miss and
+    drops it once its root's termination commits."""
+
+    @pytest.mark.parametrize("workload", ["mixed", "retry_diamond"])
+    def test_fresh_loader_at_every_commit_boundary(self, tmp_path, mixed, workload):
+        """Open a fresh strict loader, with no checkpoint, on the archive as
+        every commit left it, and feed it the events after that commit:
+        each result is the one sequential load."""
+        if workload == "mixed":
+            events, batch_size = [r.as_event() for r in mixed], 500
+        else:
+            events, batch_size = diamond_events(retries={"b": 1}), 5
+        live = tmp_path / "live.db"
+        sequential = make_loader(f"sqlite:///{live}", batch_size=batch_size)
+        boundaries = []
+
+        def snapshot(loader):
+            copy = tmp_path / f"commit{len(boundaries)}.db"
+            with closing(sqlite3.connect(live)) as src, closing(
+                sqlite3.connect(copy)
+            ) as dst:
+                src.backup(dst)
+            boundaries.append((loader.stats.events_processed, copy))
+
+        sequential.on_flush = snapshot
+        sequential.process_all(events)
+        expected = canonical_dump(sequential.archive)
+        expected_rollups = rollup_dump(sequential.archive)
+        boundaries = [(n, copy) for n, copy in boundaries if n < len(events)]
+        assert len(boundaries) >= 10
+
+        for committed, copy in boundaries:
+            fresh = make_loader(f"sqlite:///{copy}", batch_size=batch_size)
+            fresh.process_all(events[committed:])
+            assert diff_canonical(expected, canonical_dump(fresh.archive)) == []
+            assert rollup_dump(fresh.archive) == expected_rollups
+            assert verify_rollups(fresh.archive) == []
+            fresh.archive.close()
+
+    def test_resume_ignores_parent_style_checkpoint_state(self, tmp_path):
+        """Checkpoints written before the archive was the loader's state
+        carry ``workflows`` and ``rollup`` parts; resume ignores them, and
+        a new checkpoint no longer carries any cache."""
+        path = tmp_path / "diamond.bp"
+        write_events(str(path), diamond_events(retries={"b": 1}))
+        clean = make_loader(f"sqlite:///{tmp_path/'clean.db'}", batch_size=7)
+        load_file(str(path), clean)
+
+        db = f"sqlite:///{tmp_path/'old.db'}"
+        loader = make_loader(db, batch_size=7, checkpoint_source=str(path))
+        events = list(read_events_with_offsets(str(path)))
+        for event, offset in events[: len(events) // 2]:
+            loader.position = offset
+            loader.process(event)
+        ckpt = loader.checkpoint.load()
+        assert set(ckpt.state) == {"version", "deferred_subwf", "stats"}
+        stale = {
+            "wf_id": 99, "task_ids": {"a": 99}, "job_ids": {}, "job_instances": [],
+            "host_ids": [], "jobstate_seq": {}, "static_done": True,
+        }
+        with loader.archive.transaction():
+            loader.checkpoint.save(
+                ckpt.position,
+                {
+                    **ckpt.state,
+                    "workflows": {XWF: stale},
+                    "rollup": {"jobs": {"99": [99, 1, 1, 0]}, "hosts": {"99": "x"}},
+                },
+            )
+        loader.archive.close()
+
+        resumed = make_loader(db, batch_size=7, checkpoint_source=str(path))
+        load_file(str(path), resumed, resume=True)
+        assert diff_canonical(
+            canonical_dump(clean.archive), canonical_dump(resumed.archive)
+        ) == []
+        assert rollup_dump(resumed.archive) == rollup_dump(clean.archive)
+        assert verify_rollups(resumed.archive) == []
+
+    def test_drop_and_rewarm_inside_one_loader(self):
+        """Row at a time, the root's end commits alone and drops it, so
+        the restart's first event re-warms it; in one batch nothing is
+        dropped before the end.  Both land on the same archive."""
+        events = _restarted_diamond()
+        row_at_a_time = make_loader(batch_size=1)
+        one_batch = make_loader(batch_size=10**6)
+        rewarmed, unwarmed = _counting_warms(row_at_a_time), _counting_warms(one_batch)
+        row_at_a_time.process_all(events)
+        one_batch.process_all(events)
+        assert rewarmed == [1]
+        assert unwarmed == []
+        assert diff_canonical(
+            canonical_dump(one_batch.archive), canonical_dump(row_at_a_time.archive)
+        ) == []
+        assert rollup_dump(row_at_a_time.archive) == rollup_dump(one_batch.archive)
+        for loader in (row_at_a_time, one_batch):
+            assert verify_rollups(loader.archive) == []
+            assert loader._workflows == {}
+
+    def test_terminated_hierarchies_leave_the_caches(self, mixed):
+        loader = make_loader()
+        loader.process_all(r.as_event() for r in storm_stream(mixed, 3))
+        assert loader._workflows == {}
+        tracking = loader.rollup
+        assert not any(
+            (
+                tracking._task_rows, tracking._task_outcome,
+                tracking._orphan_outcome, tracking._jobs, tracking._inst,
+                tracking._inst_host, tracking._inst_subwf, tracking._inst_wall,
+                tracking._hosts, tracking._pending_host,
+            )
+        )

@@ -2,15 +2,20 @@
 import io
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.archive import StampedeArchive
+from repro.archive.merge import canonical_dump, diff_canonical
 from repro.bus.broker import DEAD_LETTER_QUEUE, Broker
 from repro.bus.net import BrokerServer, RemotePublisher
+from repro.core.rollup import main as rollup_main
+from repro.loader import DeadLetterQueue, load_events
 from repro.loader.nl_load import main
 from repro.model.entities import InvocationRow
 from repro.netlogger.stream import write_events
+from repro.replay.soak import mixed_trace
 
 from tests.helpers import await_line, child_env, diamond_events
 
@@ -24,6 +29,7 @@ class TestNlLoadCli:
         out = capsys.readouterr().out
         assert "events processed" in out
         assert "events/second" in out
+        assert "cached workflows : 0" in out  # the diamond terminated
 
     def test_stdin_input(self, tmp_path, monkeypatch, capsys):
         text = "\n".join(e.to_bp() for e in diamond_events()) + "\n"
@@ -144,3 +150,67 @@ class TestRefusals:
 
         sites = inspect.getsource(main).count("parser.error(")
         assert sites == len([r for r in REFUSALS if "unrecognized" not in r[1]])
+
+
+def _bus_load(url, db, publish=()):
+    """One ``nl-load --bus`` run on the durable queue ``q``: publish
+    ``publish`` once it has subscribed, and wait for it to drain and exit."""
+    loader = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.loader.nl_load",
+            "--bus", url, "--queue", "q", "--idle-exit", "1",
+            "stampede_loader", f"connString=sqlite:///{db}",
+        ],
+        env=child_env(),
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert await_line(loader.stderr, "subscribed:") == "subscribed: q\n"
+        if publish:
+            publisher = RemotePublisher(url)
+            publisher.publish_all(publish)
+            publisher.close()
+        assert loader.wait(timeout=60) == 0
+    finally:
+        loader.kill()
+        loader.wait(timeout=10)
+        loader.stderr.close()
+
+
+class TestRestartedBusLoader:
+    def test_restarted_bus_loader_continues_running_workflows(self, tmp_path):
+        """A second ``nl-load --bus`` on the same durable queue and archive
+        continues the workflows the first one left running: it warms them
+        from the archive instead of dead-lettering their events."""
+        events = [r.as_event() for r in mixed_trace(seed=11)]
+        half = len(events) // 2
+        expected = canonical_dump(load_events(events).archive)
+        db = tmp_path / "bus.db"
+        announce = tmp_path / "bus.url"
+        serve = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.bus.cli",
+                "serve", "--port", "0", "--announce", str(announce),
+            ],
+            env=child_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not announce.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            url = announce.read_text().strip()
+            _bus_load(url, db, publish=events[:half])
+            publisher = RemotePublisher(url)  # nobody consumes: q holds them
+            publisher.publish_all(events[half:])
+            publisher.close()
+            _bus_load(url, db)
+        finally:
+            serve.terminate()
+            serve.wait(timeout=10)
+        archive = StampedeArchive.open(f"sqlite:///{db}")
+        assert DeadLetterQueue(archive).count() == 0
+        assert diff_canonical(expected, canonical_dump(archive)) == []
+        assert rollup_main(["verify", str(db)]) == 0
