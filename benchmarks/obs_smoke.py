@@ -18,9 +18,8 @@ CI driver for the self-monitoring layer (repro.obs).  The script
    scrape;
 6. gates on the per-shard instruments in-process: a 2-shard
    ``ShardedLoader`` with ``bind_shards`` attached must expose
-   ``stampede_shard_queue_depth`` / ``stampede_shard_flush_seconds``
-   (and the per-shard counters) with ``shard`` labels and non-zero
-   flush activity.
+   ``stampede_shard_flush_seconds`` (and the per-shard counters) with
+   ``shard`` labels and non-zero flush activity.
 
 Exit status 0 only if every gate holds; details land in obs-smoke.json.
 
@@ -320,7 +319,6 @@ def check_shard_metrics(scale: int, seed: int) -> dict:
     for shard in ("0", "1"):
         label = '{shard="%s"}' % shard
         for name in (
-            "stampede_shard_queue_depth",
             "stampede_shard_routed_total",
             "stampede_shard_events_total",
             "stampede_shard_flush_seconds_sum",

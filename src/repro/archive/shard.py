@@ -21,14 +21,15 @@ This module provides:
     one shard.
 
 :class:`ShardedLoader`
-    The write path: one :class:`~repro.loader.StampedeLoader` per shard,
-    each on its own writer thread with the PR 2/3 machinery intact —
-    transactional batch flushes with retries, and a per-shard
-    checkpoint row committed atomically with the shard's batch.  The
-    exactly-once boundary is per shard: a shard's checkpoint covers
-    exactly the events routed to that shard, so kill/resume replays
-    nothing and loses nothing regardless of how far the other shards
-    had progressed.
+    The write path is the single-loader path N times: one
+    :class:`~repro.loader.StampedeLoader` per shard, called on the
+    caller's thread, each with its transactional batch flushes, retries
+    and a per-shard checkpoint row committed atomically with the
+    shard's batch.  A failing event raises from the call that handed it
+    over, as with one loader.  The exactly-once boundary is per shard: a
+    shard's checkpoint covers exactly the events routed to that shard,
+    so kill/resume replays nothing and loses nothing regardless of how
+    far the other shards had progressed.
 
 :func:`open_archive`
     The reader's entry point: a connection string, a plain sqlite path,
@@ -40,11 +41,9 @@ from __future__ import annotations
 
 import glob as _glob
 import json
-import queue
-import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.archive.federate import FederatedArchive
 from repro.archive.store import StampedeArchive
@@ -239,70 +238,14 @@ class ShardSet:
 # ---------------------------------------------------------------------------
 
 
-class _ShardWriter(threading.Thread):
-    """One shard's writer: drains routed event chunks into its loader.
-
-    The loader (and through it the shard's checkpoint) is touched only
-    by this thread, so the per-shard flush keeps the PR 2 guarantee —
-    batch + checkpoint commit atomically — without any cross-shard
-    coordination.
-    """
-
-    def __init__(self, index: int, loader: StampedeLoader, queue_size: int):
-        super().__init__(name=f"shard-writer-{index}", daemon=True)
-        self.index = index
-        self.loader = loader
-        self.queue: "queue.Queue[Tuple[str, Any]]" = queue.Queue(queue_size)
-        self.error: Optional[BaseException] = None
-        #: checkpointed source-position floor; events at or below it were
-        #: already committed by a previous run of *this shard* and are
-        #: skipped on replay
-        self.floor: int = 0
-
-    def run(self) -> None:
-        while True:
-            kind, payload = self.queue.get()
-            try:
-                if kind == "events":
-                    if self.error is None:
-                        self._consume(payload)
-                elif kind == "flush":
-                    if self.error is None:
-                        try:
-                            self.loader.flush()
-                        except BaseException as exc:  # noqa: BLE001
-                            self.error = exc
-                    payload.set()
-                else:  # "stop"
-                    if self.error is None:
-                        try:
-                            self.loader.flush()
-                        except BaseException as exc:  # noqa: BLE001
-                            self.error = exc
-                    payload.set()
-                    return
-            except BaseException as exc:  # noqa: BLE001 - never kill the drain
-                if self.error is None:
-                    self.error = exc
-
-    def _consume(self, chunk: List[Tuple[int, NLEvent]]) -> None:
-        loader = self.loader
-        floor = self.floor
-        for position, event in chunk:
-            if floor and position <= floor:
-                continue
-            loader.position = position
-            loader.process(event)
-
-
 class ShardedLoader:
-    """Route events by root workflow id across per-shard writer threads.
+    """Route events by root workflow id to one loader per shard.
 
-    The front end (the caller's thread) only hashes and buffers; all
-    parsing-adjacent work already happened upstream and all archive work
-    happens on the writer threads.  ``flush()`` is a barrier: every
-    routed event is committed (and checkpointed) in its shard when it
-    returns, and any writer-side failure re-raises here.
+    Sharding is routing: :meth:`process` hashes each event on the
+    caller's thread and hands it to its shard's
+    :class:`~repro.loader.StampedeLoader`, which batches, flushes and
+    checkpoints exactly as it does alone.  A failing event raises from
+    the :meth:`process` or :meth:`flush` call that caused it.
     """
 
     def __init__(
@@ -312,60 +255,56 @@ class ShardedLoader:
         strict: bool = True,
         validate: bool = False,
         checkpoint_source: Optional[str] = None,
-        queue_size: int = 64,
-        chunk_size: int = 256,
     ):
         self.shard_set = shard_set
         self.checkpoint_source = checkpoint_source
         self._keyer = PartitionKeyer()
-        self.writers: List[_ShardWriter] = []
-        for index, archive in enumerate(shard_set.archives):
-            checkpoint = (
-                CheckpointManager(archive, checkpoint_source)
-                if checkpoint_source is not None
-                else None
-            )
-            loader = StampedeLoader(
+        self.loaders: List[StampedeLoader] = [
+            StampedeLoader(
                 archive,
                 batch_size=batch_size,
                 strict=strict,
                 validate=validate,
-                checkpoint=checkpoint,
+                checkpoint=(
+                    CheckpointManager(archive, checkpoint_source)
+                    if checkpoint_source is not None
+                    else None
+                ),
             )
-            self.writers.append(_ShardWriter(index, loader, queue_size))
-        self._buffers: List[List[Tuple[int, NLEvent]]] = [
-            [] for _ in self.writers
+            for archive in shard_set.archives
         ]
-        self._chunk_size = max(1, chunk_size)
+        #: per-shard checkpointed source positions: events at or below a
+        #: shard's floor were committed by a previous run of *that shard*
+        #: and are skipped on replay
+        self.floors: List[int] = [0] * len(self.loaders)
         #: source position (file byte offset) of the last event handed to
         #: :meth:`process`; each shard persists the position of *its* last
         #: event with its own checkpoint
         self.position: int = 0
-        #: events routed per shard (front-end counter; cheap to read)
-        self.routed: List[int] = [0] * len(self.writers)
+        #: events routed per shard
+        self.routed: List[int] = [0] * len(self.loaders)
         self.wall_seconds: float = 0.0
         self._closed = False
-        for writer in self.writers:
-            writer.start()
 
     # -- routing ------------------------------------------------------------
     @property
     def shards(self) -> int:
-        return len(self.writers)
+        return len(self.loaders)
 
     def shard_for_event(self, event: NLEvent) -> int:
         key = self._keyer.key_for(event.attrs, default=event.event)
-        return partition_for(key, len(self.writers))
+        return partition_for(key, len(self.loaders))
 
     # -- ingest -------------------------------------------------------------
     def process(self, event: NLEvent) -> None:
         index = self.shard_for_event(event)
-        buffer = self._buffers[index]
-        buffer.append((self.position, event))
         self.routed[index] += 1
-        if len(buffer) >= self._chunk_size:
-            self._buffers[index] = []
-            self.writers[index].queue.put(("events", buffer))
+        floor = self.floors[index]
+        if floor and self.position <= floor:
+            return
+        loader = self.loaders[index]
+        loader.position = self.position
+        loader.process(event)
 
     def process_all(self, events: Iterable[NLEvent]) -> "ShardedLoader":
         start = time.perf_counter()
@@ -376,67 +315,32 @@ class ShardedLoader:
         return self
 
     def flush(self) -> None:
-        """Barrier: every routed event committed in its shard, errors
-        re-raised."""
-        barriers = []
-        for index, writer in enumerate(self.writers):
-            buffer = self._buffers[index]
-            if buffer:
-                self._buffers[index] = []
-                writer.queue.put(("events", buffer))
-            done = threading.Event()
-            writer.queue.put(("flush", done))
-            barriers.append(done)
-        for done in barriers:
-            done.wait()
-        self._raise_writer_errors()
+        """Commit every shard's open batch."""
+        for loader in self.loaders:
+            loader.flush()
 
     def close(self) -> None:
-        """Flush, stop the writer threads, and re-raise any failure.
+        """The final flush; a second call is a no-op.
 
         The shard set itself stays open — the caller owns it (it may go
         on to tier, query, or re-load)."""
         if self._closed:
             return
         self._closed = True
-        barriers = []
-        for index, writer in enumerate(self.writers):
-            buffer = self._buffers[index]
-            if buffer:
-                self._buffers[index] = []
-                writer.queue.put(("events", buffer))
-            done = threading.Event()
-            writer.queue.put(("stop", done))
-            barriers.append(done)
-        for done in barriers:
-            done.wait()
-        for writer in self.writers:
-            writer.join(timeout=10.0)
-        self._raise_writer_errors()
-
-    def _raise_writer_errors(self) -> None:
-        for writer in self.writers:
-            if writer.error is not None:
-                raise ShardError(
-                    f"shard {writer.index} writer failed: {writer.error!r}"
-                ) from writer.error
+        self.flush()
 
     # -- checkpoint/resume --------------------------------------------------
     def resume(self) -> int:
         """Restore every shard's checkpoint; returns the re-read floor.
 
         The returned position is the *minimum* across shards: the source
-        must be re-read from there, and each shard's writer skips events
+        must be re-read from there, and each shard skips events
         at or below its own (possibly further advanced) floor — replay
         is idempotent per shard without any cross-shard fsync ordering.
         """
         if self.checkpoint_source is None:
             raise ShardError("resume() needs a checkpoint_source")
-        floors = []
-        for writer in self.writers:
-            position = writer.loader.resume()
-            writer.floor = position
-            floors.append(position)
+        self.floors = [loader.resume() for loader in self.loaders]
         # Re-teach the router the sub-workflow -> root mappings already
         # archived: their plan events sit *below* the re-read floor, so
         # the keyer would otherwise route a resumed sub-workflow's tail
@@ -451,7 +355,7 @@ class ShardedLoader:
                     else None
                 )
                 self._keyer.learn(w.wf_uuid, root or w.wf_uuid)
-        floor = min(floors)
+        floor = min(self.floors)
         self.position = floor
         return floor
 
@@ -465,15 +369,15 @@ class ShardedLoader:
             "flushes": 0,
             "retries": 0,
         }
-        for writer in self.writers:
-            snap = writer.loader.stats.snapshot()
-            snap["shard"] = writer.index
-            snap["routed"] = self.routed[writer.index]
+        for index, loader in enumerate(self.loaders):
+            snap = loader.stats.snapshot()
+            snap["shard"] = index
+            snap["routed"] = self.routed[index]
             per_shard.append(snap)
             for key in totals:
                 totals[key] += snap.get(key, 0)
         totals["wall_seconds"] = self.wall_seconds
-        totals["shards"] = len(self.writers)
+        totals["shards"] = len(self.loaders)
         totals["per_shard"] = per_shard
         return totals
 

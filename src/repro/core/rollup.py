@@ -601,11 +601,21 @@ class RollupMaintainer:
 
         The replay's deltas are already in the rollup rows, so they are
         discarded; the open batch's bundle is kept.  Returns the rows
-        read, by type, for the loader's own id caches.
+        read, by type, for the loader's own id caches.  A warm that fails
+        midway forgets what it had tracked, so a retry replays afresh.
         """
         pending, self._bundle = self._bundle, _Bundle()
+        read: Dict[type, List[Any]] = {}
         try:
-            return _replay(self, wf_id)
+            return _replay(self, wf_id, read)
+        except BaseException:
+            self.forget(
+                wf_id,
+                (job.job_id for job in read.get(JobRow, ())),
+                (inst.job_instance_id for inst in read.get(JobInstanceRow, ())),
+                (host.host_id for host in read.get(HostRow, ())),
+            )
+            raise
         finally:
             self._bundle = pending
 
@@ -698,10 +708,13 @@ def drop_rollups(archive: Any, wf_ids: List[int]) -> int:
 
 # -- rebuild / verify -------------------------------------------------------
 def _replay(
-    maintainer: RollupMaintainer, wf_id: Optional[int] = None
+    maintainer: RollupMaintainer,
+    wf_id: Optional[int] = None,
+    read: Optional[Dict[type, List[Any]]] = None,
 ) -> Dict[type, List[Any]]:
     """Feed base rows to ``maintainer`` in the loader's order; returns the
-    rows read, by type.
+    rows read, by type (into ``read`` when given, so a caller sees them
+    even if a later read fails).
 
     Without ``wf_id`` every row of the archive (a rebuild); with it, one
     workflow's rows (a loader's warm): its tables by ``wf_id``, its
@@ -712,7 +725,8 @@ def _replay(
     attempt of its job is known.
     """
     archive = maintainer.archive
-    read: Dict[type, List[Any]] = {}
+    if read is None:
+        read = {}
 
     def select(etype: type, key: Optional[str] = None, by: Any = None) -> List[Any]:
         if wf_id is None:

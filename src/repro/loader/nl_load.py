@@ -158,7 +158,7 @@ def load_file(
     checkpointing sink records with every flush exactly how far into the
     file the archive is.  ``resume=True`` re-reads from the position
     ``sink.resume()`` reports instead of from the start (a sharded sink
-    reports its minimum shard floor; its writers skip what they already
+    reports its minimum shard floor; each shard skips what it already
     committed).
 
     ``on_error`` is the :func:`~repro.netlogger.stream.bp_decoder`
@@ -458,11 +458,22 @@ def load_from_bus(
                 ack_quiet(msg)  # on disk is durable enough to settle
                 return
             in_flight.append(msg)
+            processed = loader.stats.events_processed
             try:
                 loader.position = msg.delivery_tag
                 loader.process(EventConsumer.as_event(msg, fast))
                 loader.flush_if_due(dry)
             except transient:
+                if loader.stats.events_processed == processed:
+                    # a read-through lookup failed before the event reached
+                    # the journal, so the next commit must not settle it.
+                    # No requeue (the resequencer has released its seq):
+                    # degraded, it is spilled ahead of every later event;
+                    # without a spill the error propagates, message unacked
+                    in_flight.remove(msg)
+                    enter_degraded()
+                    consume(msg)
+                    return
                 # the flush (batch full, or due) failed beyond retries;
                 # the event's ops are safely journalled (flush only clears
                 # on success), so keep the message in flight and degrade
@@ -785,11 +796,6 @@ def main(argv: Optional[list] = None) -> int:
                 "--shard-dir applies to file loads; bus consumers shard "
                 "via --group partitions (same crc32 router) instead"
             )
-        if args.faults:
-            parser.error(
-                "--faults is not supported with --shard-dir: a fault plan "
-                "wraps one database and every shard owns its own"
-            )
         if "connString" in params:
             parser.error(
                 "connString conflicts with --shard-dir (shards own their "
@@ -826,17 +832,22 @@ def main(argv: Optional[list] = None) -> int:
             else ShardSet.open(args.shard_dir)
         )
         sink = ShardedLoader(shard_set, **sink_options)
+        loaders = sink.loaders
         if registry is not None:
             bind_shards(registry, sink)
     else:
         sink = make_loader(conn_string, metrics=registry, **sink_options)
-        if args.faults:
-            from repro.faults import FaultPlan
+        loaders = [sink]
+    if args.faults:
+        from repro.faults import FaultPlan
 
-            plan = FaultPlan.from_file(args.faults)
-            sink.archive.db = plan.wrap_database(sink.archive.db)
-            if registry is not None:
-                bind_faults(registry, plan.stats)
+        # one plan, one injector: its attempt count runs across every
+        # archive the load writes, in the order the flushes commit
+        plan = FaultPlan.from_file(args.faults)
+        for loader in loaders:
+            loader.archive.db = plan.wrap_database(loader.archive.db)
+        if registry is not None:
+            bind_faults(registry, plan.stats)
     if registry is not None and args.metrics_port is not None:
         from repro.obs.export import MetricsServer
 

@@ -227,8 +227,8 @@ def bind_shards(registry: MetricsRegistry, sharded: "ShardedLoader") -> None:
     """Export a :class:`~repro.archive.shard.ShardedLoader`'s per-shard
     telemetry.
 
-    Hot-path instruments (attached eagerly, observed by the writer
-    threads):
+    Hot-path instruments (attached eagerly, observed by the shard
+    loaders):
 
     * ``stampede_shard_flush_seconds{shard=...}`` — per-shard batch
       flush commit latency histogram (each shard loader's flush
@@ -238,39 +238,31 @@ def bind_shards(registry: MetricsRegistry, sharded: "ShardedLoader") -> None:
     other binders — they mirror the authoritative per-shard
     ``LoaderStats`` once per scrape):
 
-    * ``stampede_shard_queue_depth{shard=...}`` — routed-event chunks
-      waiting in a shard writer's queue;
     * ``stampede_shard_events_total`` / ``_rows_inserted_total`` /
       ``_flushes_total`` / ``_retries_total`` / ``_routed_total``
       per shard, and the ``stampede_shard_count`` gauge.
     """
-    for writer in sharded.writers:
-        loader = writer.loader
+    for index, loader in enumerate(sharded.loaders):
         if loader.metrics is None:
             loader.metrics = registry
         loader._flush_hist = registry.histogram(
             "stampede_shard_flush_seconds",
             "Per-shard batch flush commit latency.",
-            {"shard": str(writer.index)},
+            {"shard": str(index)},
         )
 
     def collect(reg: MetricsRegistry) -> None:
         reg.gauge(
             "stampede_shard_count", "Shards in the active shard set."
-        ).set(len(sharded.writers))
-        for writer in sharded.writers:
-            labels = {"shard": str(writer.index)}
-            reg.gauge(
-                "stampede_shard_queue_depth",
-                "Routed-event chunks waiting in a shard writer's queue.",
-                labels,
-            ).set(writer.queue.qsize())
+        ).set(len(sharded.loaders))
+        for index, loader in enumerate(sharded.loaders):
+            labels = {"shard": str(index)}
             reg.counter(
                 "stampede_shard_routed_total",
                 "Events the router assigned to a shard.",
                 labels,
-            ).set_total(sharded.routed[writer.index])
-            snap = writer.loader.stats.snapshot()
+            ).set_total(sharded.routed[index])
+            snap = loader.stats.snapshot()
             reg.counter(
                 "stampede_shard_events_total",
                 "Events a shard's writer normalized.",

@@ -29,8 +29,10 @@ from repro.archive.shard import (
 )
 from repro.archive.store import StampedeArchive
 from repro.bus.groups import partition_for
+from repro.core.rollup import verify_rollups
 from repro.loader import make_loader
 from repro.loader.nl_load import load_file
+from repro.loader.stampede_loader import LoaderError
 from repro.model.entities import WorkflowRow
 from repro.netlogger.events import NLEvent
 from repro.netlogger.stream import write_events
@@ -212,7 +214,7 @@ class TestShardedLoader:
         expected = canonical_dump(single)
 
         shard_set = ShardSet.create(None, 4)
-        sharded = ShardedLoader(shard_set, batch_size=50, chunk_size=16)
+        sharded = ShardedLoader(shard_set, batch_size=50)
         sharded.process_all(events)
         sharded.close()
 
@@ -264,7 +266,7 @@ class TestShardedLoader:
         shard_dir = tmp_path / "shards"
         shard_set = ShardSet.create(shard_dir, 4)
         sharded = ShardedLoader(
-            shard_set, batch_size=7, chunk_size=4, checkpoint_source=path
+            shard_set, batch_size=7, checkpoint_source=path
         )
         from repro.netlogger.stream import read_events_with_offsets
 
@@ -276,7 +278,7 @@ class TestShardedLoader:
         # (and checkpoints), then abandon everything without close():
         # unflushed partial batches die with the "process"
         sharded.flush()
-        committed = [w.loader.checkpoint.load() for w in sharded.writers]
+        committed = [loader.checkpoint.load() for loader in sharded.loaders]
         assert any(c is not None and c.position > 0 for c in committed)
         shard_set.close()
         del sharded
@@ -284,10 +286,10 @@ class TestShardedLoader:
         # -- fresh process: reopen, resume, re-read from the floor ----------
         shard_set = ShardSet.open(shard_dir)
         resumed = ShardedLoader(
-            shard_set, batch_size=7, chunk_size=4, checkpoint_source=path
+            shard_set, batch_size=7, checkpoint_source=path
         )
         floor = resumed.resume()
-        assert floor == min(w.floor for w in resumed.writers)
+        assert floor == min(resumed.floors)
         assert floor > 0
         load_file(path, resumed, resume=True)
         resumed.close()
@@ -332,5 +334,33 @@ class TestSingleShardDegenerate:
         reread = StampedeArchive.open(f"sqlite:///{db}")
         assert reread.query(WorkflowRow).count() == len(ROOT_UUIDS)
         reread.close()
+        single.close()
+        shard_set.close()
+
+
+class TestShardedErrorContract:
+    def test_bad_event_raises_from_its_own_process_call(self):
+        """A strict sharded load fails on the call that handed over the
+        bad event, as one loader does; every shard's rows stay intact."""
+        events = workload_events()
+        half = len(events) // 2
+        single = load_single(events)
+        shard_set = ShardSet.create(None, 4)
+        sharded = ShardedLoader(shard_set, batch_size=50)
+        for event in events[:half]:
+            sharded.process(event)
+        stray = NLEvent(
+            Events.XWF_START, 1.0, {"xwf.id": "wf-9900-aaaa-4bbb-8ccc-dddddddddddd"}
+        )
+        with pytest.raises(LoaderError, match="unknown workflow"):
+            sharded.process(stray)
+        for event in events[half:]:
+            sharded.process(event)
+        sharded.close()
+        assert diff_canonical(
+            canonical_dump(single), canonical_dump(shard_set.federated())
+        ) == []
+        for archive in shard_set.archives:
+            assert verify_rollups(archive) == []
         single.close()
         shard_set.close()

@@ -27,6 +27,7 @@ from repro.loader import (
 from repro.loader.checkpoint import CheckpointManager
 from repro.loader.dlq import DLQ_TABLE
 from repro.loader.stampede_loader import StampedeLoader
+from repro.model.entities import WorkflowRow
 from repro.util.retry import RetryPolicy
 
 from tests.archive.test_shard import workload_events
@@ -361,3 +362,106 @@ class TestMidTransactionFailure:
         got = failed.checkpoint.load()
         assert got.position == want.position == len(events)
         assert got.state == want.state
+
+
+class FailWorkflowRead:
+    """Database proxy whose Nth read of ``table`` outside a transaction
+    raises "database is locked" once — a loader's read-through lookup
+    (or the warm behind it) meeting a busy archive."""
+
+    def __init__(self, inner, fail_read, table="workflow"):
+        self._inner = inner
+        self._fail_read = fail_read
+        self._table = table
+        self.reads = 0
+
+    def select(self, query):
+        if query.table.name == self._table and self._inner._txn_depth == 0:
+            self.reads += 1
+            if self.reads == self._fail_read:
+                raise sqlite3.OperationalError(
+                    "database is locked [injected at read]"
+                )
+        return self._inner.select(query)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestReadThroughFailure:
+    """A lookup that fails inside ``process()`` raises before the event
+    reaches the journal, so the next commit must not settle its message."""
+
+    @staticmethod
+    def failing_loader(fail_read, table="workflow"):
+        archive = StampedeArchive.open("sqlite:///:memory:")
+        archive.db = FailWorkflowRead(archive.db, fail_read, table)
+        return StampedeLoader(archive, batch_size=25)
+
+    @staticmethod
+    def publish(broker, events):
+        publisher = EventPublisher(broker)
+        for event in events:
+            publisher.publish(event)
+
+    def test_unjournalled_event_is_spilled_not_acked(self, tmp_path):
+        events = workload_events()
+        # the third workflow's plan event misses the cache mid-stream
+        loader = self.failing_loader(fail_read=3)
+        broker = bound_broker()
+        self.publish(broker, events)
+        load_from_bus(
+            broker, queue_name=QUEUE, durable=True, loader=loader,
+            spill=str(tmp_path / "spill.bp"), dead_letter=True,
+        )
+        assert loader.archive.db.reads >= 3  # the read really failed
+        assert loader.stats.archive_outages == 1
+        assert loader.stats.spill_drains == 1
+        assert loader.archive.db.count(DLQ_TABLE) == 0
+        want = canonical_dump(load_events(events).archive)
+        assert diff_canonical(want, canonical_dump(loader.archive)) == []
+        assert verify_rollups(loader.archive) == []
+        assert broker.queue(QUEUE).stats.acked == len(events)
+
+    def test_without_spill_the_error_propagates_unacked(self):
+        events = workload_events()
+        loader = self.failing_loader(fail_read=3)
+        broker = bound_broker()
+        self.publish(broker, events)
+        with pytest.raises(sqlite3.OperationalError, match="at read"):
+            load_from_bus(broker, queue_name=QUEUE, durable=True, loader=loader)
+        # the failed event and everything after it are back on the queue
+        # for the next consumer; the rows committed before it are intact
+        queue = broker.queue(QUEUE)
+        acked = queue.stats.acked
+        assert acked < len(events)
+        assert len(queue.drain()) == len(events) - acked
+        plan_uuid = events[0]["xwf.id"]
+        assert loader.archive.query(WorkflowRow).eq("wf_uuid", plan_uuid).count() == 1
+
+    def test_failed_warm_leaves_no_state_behind(self):
+        """A warm that dies midway caches nothing and tracks nothing, so
+        the retried event warms afresh."""
+        events = diamond_events()
+        half = len(events) // 2
+        archive = StampedeArchive.open("sqlite:///:memory:")
+        first = StampedeLoader(archive, batch_size=25)
+        for event in events[:half]:
+            first.process(event)
+        first.flush()
+        # a fresh loader on the half-loaded archive warms the workflow on
+        # its first event; its job-state read fails
+        archive.db = FailWorkflowRead(archive.db, 1, table="jobstate")
+        second = StampedeLoader(archive, batch_size=25)
+        with pytest.raises(sqlite3.OperationalError, match="at read"):
+            second.process(events[half])
+        assert second._workflows == {}
+        tracking = vars(second.rollup)
+        for name in ("_task_rows", "_jobs", "_inst", "_hosts"):
+            assert not tracking[name], name
+        for event in events[half:]:
+            second.process(event)
+        second.flush()
+        want = canonical_dump(load_events(events).archive)
+        assert diff_canonical(want, canonical_dump(archive)) == []
+        assert verify_rollups(archive) == []

@@ -8,6 +8,7 @@ import pytest
 
 from repro.archive import StampedeArchive
 from repro.archive.merge import canonical_dump, diff_canonical
+from repro.archive.shard import open_archive
 from repro.bus.broker import DEAD_LETTER_QUEUE, Broker
 from repro.bus.net import BrokerServer, RemotePublisher
 from repro.core.rollup import main as rollup_main
@@ -17,6 +18,7 @@ from repro.model.entities import InvocationRow
 from repro.netlogger.stream import write_events
 from repro.replay.soak import mixed_trace
 
+from tests.archive.test_shard import workload_events
 from tests.helpers import await_line, child_env, diamond_events
 
 
@@ -119,7 +121,6 @@ REFUSALS = [
     (["{bp}", "--shards", "2"], "requires --shard-dir"),
     (["{bp}", "--tier-finished"], "requires --shard-dir"),
     (["--bus", "tcp://127.0.0.1:1", "--shard-dir", "d"], "--group partitions"),
-    (["{bp}", "--shard-dir", "d", "--faults", "f.json"], "every shard owns"),
     (["{bp}", "connString=sqlite:///x.db", "--shard-dir", "d"], "conflicts"),
     # the parse pool is gone, flags and all
     (["{bp}", "--workers", "2"], "unrecognized arguments"),
@@ -150,6 +151,29 @@ class TestRefusals:
 
         sites = inspect.getsource(main).count("parser.error(")
         assert sites == len([r for r in REFUSALS if "unrecognized" not in r[1]])
+
+
+class TestFaultsWithShards:
+    def test_one_plan_counts_attempts_across_shards(self, tmp_path, capsys):
+        """``--faults`` wraps every shard's database with the plan's one
+        injector: the chosen attempts fail the same way on every run, the
+        retries absorb them, and the shard set matches a sequential load."""
+        events = workload_events()
+        bp = tmp_path / "run.bp"
+        write_events(bp, events)
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"archive": {"fail_transactions": [1, 3]}}')
+        want = canonical_dump(load_events(events).archive)
+        for run in ("a", "b"):
+            shards = str(tmp_path / run)
+            argv = [str(bp), "--shard-dir", shards, "--shards", "4"]
+            assert main(argv + ["--faults", str(plan), "-v"]) == 0
+            out, err = capsys.readouterr()
+            assert "faults injected  : 2" in err
+            assert "retries          : 2" in out
+            got = canonical_dump(open_archive(shards))
+            assert diff_canonical(want, got) == []
+            assert rollup_main(["verify", shards]) == 0
 
 
 def _bus_load(url, db, publish=()):
