@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.orm import Boolean, Column, Integer, Real, Table, Text
+from repro.orm import Boolean, Column, Integer, Real, Table, Text, Unique
 
 __all__ = ["TABLES", "ALL_TABLES"]
 
@@ -189,8 +189,10 @@ OBS_EVENT = Table(
 # -- rollup tables (repro.core.rollup) --------------------------------------
 # Materialized aggregates maintained incrementally in the loader's flush
 # transaction.  Counters are additive; ``started``/``ended``/``min``/``max``
-# are monotone merges, so re-applying a delta bundle after a transaction
-# retry converges to the same row.
+# are monotone merges.  The keyed tables take a flush's deltas as upserts,
+# so each declares its key as a Unique index (the upsert's conflict
+# target); a retried flush re-applies its deltas to the rows the
+# rollback restored.
 
 ROLLUP_WORKFLOW = Table(
     "rollup_workflow",
@@ -220,7 +222,7 @@ ROLLUP_WORKFLOW = Table(
 
 ROLLUP_TYPE = Table(
     "rollup_type",
-    indexes=[("wf_id", "transformation")],
+    indexes=[Unique("wf_id", "transformation")],
     columns=[
         Column("wf_id", Integer(), nullable=False, index=True),
         Column("transformation", Text(), nullable=False),
@@ -235,7 +237,7 @@ ROLLUP_TYPE = Table(
 
 ROLLUP_HOST = Table(
     "rollup_host",
-    indexes=[("wf_id", "hostname")],
+    indexes=[Unique("wf_id", "hostname")],
     columns=[
         Column("wf_id", Integer(), nullable=False, index=True),
         Column("hostname", Text(), nullable=False),
@@ -246,7 +248,7 @@ ROLLUP_HOST = Table(
 
 ROLLUP_HOST_BUCKET = Table(
     "rollup_host_bucket",
-    indexes=[("wf_id", "hostname", "tier", "bucket")],
+    indexes=[Unique("wf_id", "hostname", "tier", "bucket")],
     columns=[
         Column("wf_id", Integer(), nullable=False, index=True),
         Column("hostname", Text(), nullable=False),

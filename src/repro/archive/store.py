@@ -11,7 +11,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import fields
-from typing import Any, Dict, Iterable, List, Optional, Type, TypeVar
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.archive import ddl
 from repro.model.entities import (
@@ -124,14 +125,17 @@ class StampedeArchive:
         self.db.insert(table, _to_row(entity))
 
     def insert_many(self, entities: Iterable[Any]) -> int:
-        """Batch-insert homogeneous entities (one executemany per type)."""
-        by_type: Dict[type, List[Dict[str, Any]]] = {}
+        """Batch-insert entities: one executemany per type, in the order
+        the types are first seen."""
+        by_type: Dict[type, List[Any]] = {}
         for entity in entities:
-            by_type.setdefault(type(entity), []).append(_to_row(entity))
+            by_type.setdefault(type(entity), []).append(entity)
         total = 0
         with self.db.transaction():
-            for etype, rows in by_type.items():
-                total += self.db.insert_many(_table_for(etype), rows)
+            for etype, group in by_type.items():
+                names, encode = _encoder(etype)
+                rows = [encode(entity) for entity in group]
+                total += self.db.insert_values(_table_for(etype), names, rows)
         if self._rows_inserted is not None:
             self._rows_inserted.inc(total)
         return total
@@ -165,6 +169,26 @@ class StampedeArchive:
         self, entity_type: type, values: Dict[str, Any], where: Dict[str, Any]
     ) -> int:
         return self.db.update(_table_for(entity_type), values, where)
+
+    def update_many(
+        self,
+        entity_type: type,
+        updates: Sequence[Tuple[Dict[str, Any], Dict[str, Any]]],
+    ) -> int:
+        """:meth:`update` for many ``(values, where)`` pairs that name the
+        same columns: one executemany.  Returns the rows changed."""
+        return self.db.update_many(_table_for(entity_type), updates)
+
+    def upsert_many(self, entities: Sequence[Any], merge: Dict[str, str]) -> int:
+        """Insert entities of one type, folding each into the stored row
+        with the same key by ``merge``
+        (:meth:`~repro.orm.SqliteDatabase.upsert_values`)."""
+        if not entities:
+            return 0
+        etype = type(entities[0])
+        names, encode = _encoder(etype)
+        rows = [encode(entity) for entity in entities]
+        return self.db.upsert_values(_table_for(etype), names, rows, merge)
 
     def delete(self, entity_type: type, where: Dict[str, Any]) -> int:
         """Delete rows matching ``where``; list values mean SQL ``IN``."""
@@ -232,9 +256,27 @@ def _table_for(entity_type: type) -> Table:
 _FIELD_NAMES: Dict[type, tuple] = {}
 
 
-def _to_row(entity: Any) -> Dict[str, Any]:
-    etype = type(entity)
+def _field_names(etype: type) -> tuple:
     names = _FIELD_NAMES.get(etype)
     if names is None:
         names = _FIELD_NAMES[etype] = tuple(f.name for f in fields(etype))
-    return {name: getattr(entity, name) for name in names}
+    return names
+
+
+def _to_row(entity: Any) -> Dict[str, Any]:
+    return {name: getattr(entity, name) for name in _field_names(type(entity))}
+
+
+#: per-entity-type (field names, entity -> storage values), built on first
+#: use: a batch insert reads and converts each entity in one pass
+_ENCODERS: Dict[type, Tuple[tuple, Callable[[Any], List[Any]]]] = {}
+
+
+def _encoder(etype: type) -> Tuple[tuple, Callable[[Any], List[Any]]]:
+    found = _ENCODERS.get(etype)
+    if found is None:
+        names = _field_names(etype)
+        encode = _table_for(etype).row_encoder(names)
+        values = attrgetter(*names)
+        found = _ENCODERS[etype] = (names, lambda entity: encode(values(entity)))
+    return found

@@ -19,8 +19,10 @@ Therefore:
   event rows they summarize — a kill at any point leaves both sides of
   the boundary consistent, and resume re-derives the same deltas;
 * every delta is **additive** or a **monotone merge** (min ``started``,
-  max ``ended``/``restarts``, min/max runtimes), so re-running the
-  read-modify-write after a transient rollback converges;
+  max ``ended``/``restarts``, min/max runtimes), written as one upsert
+  per keyed table and one select-merge-write of the workflow rows; a
+  transient rollback restores the rows those statements changed, so the
+  retry applies the same bundle to the same rows;
 * ``rollup_meta.commit_seq`` increments once per applying flush — read
   caches invalidate on it instead of a TTL.
 
@@ -155,10 +157,11 @@ class RollupMaintainer:
     """Folds the loader journal into rollup deltas; applies them in-txn.
 
     Observation happens as the loader buffers work (``observe_insert`` /
-    ``observe_update``), and :meth:`apply` runs inside ``_flush_once`` so
-    a retried transaction re-reads and re-merges idempotently.  The
-    bundle is cleared by :meth:`commit` only after the flush commits —
-    a failed flush keeps both the journal and the bundle for the retry.
+    ``observe_update``), and :meth:`apply` runs inside ``_flush_once``, so
+    a failed attempt's rollback undoes its writes and the retry applies
+    the bundle again.  The bundle is cleared by :meth:`commit` only after
+    the flush commits — a failed flush keeps both the journal and the
+    bundle for the retry.
     Tracking state (task outcomes, last attempts, host attachments) is
     held for running workflows only, because the archive holds the rest:
     the loader :meth:`warm`-s a workflow from its rows on a cache miss
@@ -447,35 +450,42 @@ class RollupMaintainer:
     def apply(self, archive: Optional[Any] = None) -> Tuple[int, int]:
         """Merge the pending bundle into the rollup tables.
 
-        Must run inside the flush transaction.  Read-modify-write per
-        key: a transient rollback re-runs this against the restored
-        rows, so the merge converges to the same state on every
-        attempt.  Returns ``(rows_inserted, rows_updated)``.
+        Must run inside the flush transaction.  Each keyed table takes
+        the bundle as one upsert (counts add, runtimes min/max-merge);
+        the workflow rows are read with one select, merged here and
+        written back with one insert and one update.  A transient
+        rollback restores the rows, so a retry applies the same deltas to
+        the same rows.  Returns ``(inserted, updated)``: the
+        ``rollup_workflow`` rows created, and every other rollup row
+        written — workflow rows merged plus the keyed tables' upserted
+        rows, which an upsert does not tell apart as created or merged.
         """
         archive = archive if archive is not None else self.archive
         bundle = self._bundle
         if bundle.empty():
             return (0, 0)
-        inserted = updated = 0
         seq = int(_meta_value(archive, _META_SEQ, 0.0)) + 1
-        wf_ids = (
+        wf_ids = sorted(
             set(bundle.wf_new)
             | set(bundle.wf_add)
             | set(bundle.wf_started)
             | set(bundle.wf_ended)
             | set(bundle.wf_restarts)
         )
-        for wf_id in sorted(wf_ids):
-            row = (
-                archive.query(RollupWorkflowRow).eq("wf_id", wf_id).first()
-            )
-            new = bundle.wf_new.get(wf_id, {})
+        stored = {
+            row.wf_id: row
+            for i in range(0, len(wf_ids), _IN_CHUNK)
+            for row in archive.query(RollupWorkflowRow)
+            .where("wf_id", "in", wf_ids[i : i + _IN_CHUNK])
+            .all()
+        }
+        fresh: List[RollupWorkflowRow] = []
+        merged: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
+        for wf_id in wf_ids:
+            row = stored.get(wf_id)
             if row is None:
                 row = RollupWorkflowRow(wf_id=wf_id, wf_uuid="")
-                fresh = True
-            else:
-                fresh = False
-            for column, value in new.items():
+            for column, value in bundle.wf_new.get(wf_id, {}).items():
                 setattr(row, column, value)
             for column, delta in bundle.wf_add.get(wf_id, {}).items():
                 setattr(row, column, getattr(row, column) + delta)
@@ -489,107 +499,43 @@ class RollupMaintainer:
             if restarts is not None and restarts > row.restarts:
                 row.restarts = restarts
             row.updated_seq = seq
-            if fresh:
-                archive.insert(row)
-                inserted += 1
-            else:
+            if wf_id in stored:
                 values = {f: getattr(row, f) for f in _WF_MUTABLE}
-                archive.update(RollupWorkflowRow, values, {"wf_id": wf_id})
-                updated += 1
-        for (wf_id, transformation), delta in bundle.types.items():
-            row = (
-                archive.query(RollupTypeRow)
-                .eq("wf_id", wf_id)
-                .eq("transformation", transformation)
-                .first()
-            )
-            if row is None:
-                archive.insert(
-                    RollupTypeRow(
-                        wf_id=wf_id,
-                        transformation=transformation,
-                        count=int(delta[0]),
-                        succeeded=int(delta[1]),
-                        failed=int(delta[2]),
-                        min_runtime=delta[3],
-                        max_runtime=delta[4],
-                        total_runtime=delta[5],
-                    )
-                )
-                inserted += 1
+                merged.append((values, {"wf_id": wf_id}))
             else:
-                archive.update(
-                    RollupTypeRow,
-                    {
-                        "count": row.count + int(delta[0]),
-                        "succeeded": row.succeeded + int(delta[1]),
-                        "failed": row.failed + int(delta[2]),
-                        "min_runtime": min(row.min_runtime, delta[3]),
-                        "max_runtime": max(row.max_runtime, delta[4]),
-                        "total_runtime": row.total_runtime + delta[5],
-                    },
-                    {"wf_id": wf_id, "transformation": transformation},
+                fresh.append(row)
+        archive.insert_many(fresh)
+        archive.update_many(RollupWorkflowRow, merged)
+        upserted = archive.upsert_many(
+            [
+                RollupTypeRow(
+                    wf_id=wf_id,
+                    transformation=transformation,
+                    count=int(delta[0]),
+                    succeeded=int(delta[1]),
+                    failed=int(delta[2]),
+                    min_runtime=delta[3],
+                    max_runtime=delta[4],
+                    total_runtime=delta[5],
                 )
-                updated += 1
-        for (wf_id, hostname), (jobs, runtime) in bundle.hosts.items():
-            row = (
-                archive.query(RollupHostRow)
-                .eq("wf_id", wf_id)
-                .eq("hostname", hostname)
-                .first()
-            )
-            if row is None:
-                archive.insert(
-                    RollupHostRow(
-                        wf_id=wf_id,
-                        hostname=hostname,
-                        jobs=int(jobs),
-                        runtime=runtime,
-                    )
-                )
-                inserted += 1
-            else:
-                archive.update(
-                    RollupHostRow,
-                    {"jobs": row.jobs + int(jobs), "runtime": row.runtime + runtime},
-                    {"wf_id": wf_id, "hostname": hostname},
-                )
-                updated += 1
-        for (wf_id, hostname, tier, bucket), runtime in bundle.buckets.items():
-            row = (
-                archive.query(RollupHostBucketRow)
-                .eq("wf_id", wf_id)
-                .eq("hostname", hostname)
-                .eq("tier", tier)
-                .eq("bucket", bucket)
-                .first()
-            )
-            if row is None:
-                archive.insert(
-                    RollupHostBucketRow(
-                        wf_id=wf_id,
-                        hostname=hostname,
-                        tier=tier,
-                        bucket=bucket,
-                        runtime=runtime,
-                    )
-                )
-                inserted += 1
-            else:
-                archive.update(
-                    RollupHostBucketRow,
-                    {"runtime": row.runtime + runtime},
-                    {
-                        "wf_id": wf_id,
-                        "hostname": hostname,
-                        "tier": tier,
-                        "bucket": bucket,
-                    },
-                )
-                updated += 1
+                for (wf_id, transformation), delta in bundle.types.items()
+            ],
+            _TYPE_MERGE,
+        )
+        upserted += archive.upsert_many(
+            [
+                RollupHostRow(wf_id, hostname, int(jobs), runtime)
+                for (wf_id, hostname), (jobs, runtime) in bundle.hosts.items()
+            ],
+            _HOST_MERGE,
+        )
+        upserted += archive.upsert_many(
+            [RollupHostBucketRow(*key, runtime) for key, runtime in bundle.buckets.items()],
+            _BUCKET_MERGE,
+        )
         _meta_set(archive, _META_SEQ, float(seq))
         _meta_set(archive, _META_TS, time.time())
-        return (inserted, updated)
+        return (len(fresh), len(merged) + upserted)
 
     def commit(self) -> None:
         """Discard the applied bundle (call only after the flush commits)."""
@@ -636,6 +582,18 @@ class RollupMaintainer:
         for host_id in hosts:
             self._hosts.pop(host_id, None)
 
+
+#: how an upsert folds a bundle's deltas into a stored keyed rollup row
+_TYPE_MERGE = {
+    "count": "+",
+    "succeeded": "+",
+    "failed": "+",
+    "min_runtime": "min",
+    "max_runtime": "max",
+    "total_runtime": "+",
+}
+_HOST_MERGE = {"jobs": "+", "runtime": "+"}
+_BUCKET_MERGE = {"runtime": "+"}
 
 #: rollup_workflow columns apply() may change after the insert
 _WF_MUTABLE = (

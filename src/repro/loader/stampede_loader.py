@@ -13,9 +13,11 @@ referencing them.  In ``strict`` mode a violation raises
 :class:`LoaderError`; in tolerant mode a placeholder row is synthesized.
 
 Write path: every handler only *buffers* work — row inserts and the
-coalesced column updates (task→job maps, job-instance finalization, host
+column updates (task→job maps, job-instance finalization, host
 attachment) — as an ordered journal.  :meth:`StampedeLoader.flush`
-replays the journal inside one backend transaction, so a batch is one
+folds each update of a row the batch inserts into that row, and writes
+the batch inside one backend transaction with one statement per table
+(per column set for the updates of committed rows), so a batch is one
 commit (one fsync on the file backend) instead of a commit per
 statement, and a crash mid-batch leaves no partial rows behind.
 Transient backend errors (e.g. a locked sqlite file) are retried with
@@ -329,8 +331,8 @@ class StampedeLoader:
         # hierarchies leave the caches once it commits
         self._ended_roots: Set[int] = set()
         # ordered journal of pending ops: ("insert", entity) or
-        # ("update", entity_type, values, where) — replayed in order so an
-        # update always lands after the insert it targets.
+        # ("update", entity_type, values, where); an update always follows
+        # the insert it targets, which is what lets _fold apply it there
         self._pending: List[Tuple[Any, ...]] = []
         # subwf maps that arrived before their job_instance existed
         self._deferred_subwf: List[Tuple[str, str, int, int]] = []
@@ -401,14 +403,16 @@ class StampedeLoader:
         return self.stats
 
     def flush(self) -> None:
-        """Replay the pending journal as one transaction (with retries).
+        """Write the pending journal as one transaction (with retries).
 
-        One flush = one backend transaction: the batched inserts, their
-        coalesced updates, any now-resolvable deferred sub-workflow maps,
-        and (when checkpointing) the advanced checkpoint row all commit
-        atomically.  Transient backend errors roll the batch back and
-        retry with exponential backoff; the journal is only discarded
-        after a successful commit.
+        One flush = one backend transaction: the batch's inserts, with
+        the updates of its own rows folded in (:func:`_fold`), one
+        executemany per table and column set for the updates of rows
+        committed earlier, any now-resolvable deferred sub-workflow maps,
+        the rollup deltas and (when checkpointing) the advanced checkpoint
+        row all commit atomically.  Transient backend errors roll the
+        batch back and retry with exponential backoff; the journal is
+        only discarded after a successful commit.
         """
         resolved, still_deferred = self._resolve_deferred_subwf()
         ops = self._pending
@@ -507,22 +511,12 @@ class StampedeLoader:
         resolved: List[Tuple[Dict[str, Any], Dict[str, Any]]],
         still_deferred: List[Tuple[str, str, int, int]],
     ) -> Tuple[int, int]:
-        inserted = updated = 0
+        inserts, updates = _fold(ops, resolved)
         with self.archive.transaction():
-            run: List[Any] = []
-            for op in ops:
-                if op[0] == "insert":
-                    run.append(op[1])
-                else:
-                    if run:
-                        inserted += self.archive.insert_many(run)
-                        run = []
-                    _, etype, values, where = op
-                    updated += self.archive.update(etype, values, where)
-            if run:
-                inserted += self.archive.insert_many(run)
-            for values, where in resolved:
-                updated += self.archive.update(JobInstanceRow, values, where)
+            inserted = self.archive.insert_many(inserts)
+            updated = 0
+            for etype, group in updates:
+                updated += self.archive.update_many(etype, group)
             # rollup deltas land inside this same transaction: the
             # materialized counters are exactly as durable as the rows (and
             # the checkpoint) they summarize
@@ -854,8 +848,8 @@ class StampedeLoader:
             raise LoaderError(f"map.task_job references unknown task {abs_task_id!r}")
         if exec_job_id not in cache.job_ids:
             raise LoaderError(f"map.task_job references unknown job {exec_job_id!r}")
-        # The mapping lands as task.job_id; the journal replays it after
-        # the buffered task row inside the same flush transaction.
+        # The mapping lands as task.job_id: folded into the task row when
+        # the same batch inserts it, else an update in the flush.
         self._buffer_update(
             TaskRow,
             {"job_id": cache.job_ids[exec_job_id]},
@@ -1054,6 +1048,59 @@ class StampedeLoader:
                 ),
             )
         )
+
+
+#: the journal's update targets: entity type -> the primary key its
+#: updates name as ``where``
+_UPDATE_KEYS = {TaskRow: "task_id", JobInstanceRow: "job_instance_id"}
+
+
+def _fold(
+    ops: List[Tuple[Any, ...]],
+    resolved: List[Tuple[Dict[str, Any], Dict[str, Any]]],
+) -> Tuple[List[Any], List[Tuple[type, List[Tuple[Dict[str, Any], Dict[str, Any]]]]]]:
+    """Turn a journal, then the resolved sub-workflow maps, into the
+    batch's inserts and its updates of committed rows.
+
+    An update of a row this batch inserts is folded into that entity, in
+    arrival order, so later values win as they would have replayed.  The
+    rest target rows an earlier batch committed: they are coalesced per
+    row, then grouped by (type, columns), one ``update_many`` each.
+    Folding sets values the entity will hold anyway, so a retried flush
+    may fold the same journal again.
+    """
+    inserts: List[Any] = []
+    batch: Dict[Tuple[type, Any], Any] = {}  # this batch's update targets
+    committed: Dict[Tuple[type, tuple], Tuple[Dict[str, Any], Dict[str, Any]]] = {}
+
+    def update(etype: type, values: Dict[str, Any], where: Dict[str, Any]) -> None:
+        key = _UPDATE_KEYS.get(etype)
+        entity = batch.get((etype, where[key])) if key in where and len(where) == 1 else None
+        if entity is not None:
+            for column, value in values.items():
+                setattr(entity, column, value)
+            return
+        row = (etype, tuple(where.items()))
+        if row in committed:
+            committed[row][0].update(values)
+        else:
+            committed[row] = (dict(values), where)
+
+    for op in ops:
+        if op[0] == "insert":
+            entity = op[1]
+            inserts.append(entity)
+            key = _UPDATE_KEYS.get(type(entity))
+            if key is not None:
+                batch[type(entity), getattr(entity, key)] = entity
+        else:
+            update(*op[1:])
+    for values, where in resolved:
+        update(JobInstanceRow, values, where)
+    groups: Dict[tuple, List[Tuple[Dict[str, Any], Dict[str, Any]]]] = {}
+    for (etype, _), (values, where) in committed.items():
+        groups.setdefault((etype, tuple(values), tuple(where)), []).append((values, where))
+    return inserts, [(key[0], group) for key, group in groups.items()]
 
 
 def _opt_str(value: object) -> Optional[str]:

@@ -2,7 +2,7 @@
 from repro.orm.columns import Boolean, Column, ColumnType, Integer, Real, Text
 from repro.orm.database import SqliteDatabase, connect
 from repro.orm.query import Predicate, Query
-from repro.orm.table import Table
+from repro.orm.table import Table, Unique
 
 __all__ = [
     "Boolean",
@@ -16,4 +16,5 @@ __all__ = [
     "Predicate",
     "Query",
     "Table",
+    "Unique",
 ]

@@ -18,10 +18,10 @@ from __future__ import annotations
 import sqlite3
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.orm.query import Query
-from repro.orm.table import Table
+from repro.orm.table import Table, Unique
 
 __all__ = ["SqliteDatabase", "connect"]
 
@@ -72,16 +72,20 @@ class SqliteDatabase:
         cur.execute("PRAGMA cache_size=-65536")  # 64 MiB page cache
 
     # -- max-id cache maintenance -----------------------------------------
-    def _bump_max_cache(self, table: Table, rows: Iterable[Dict[str, Any]]) -> None:
-        """Fold freshly inserted rows into any cached maxima for ``table``."""
+    def _bump_max_cache(
+        self, table: Table, names: Sequence[str], rows: Sequence[Sequence[Any]]
+    ) -> None:
+        """Fold freshly inserted rows (values for ``names``) into any cached
+        maxima for ``table``."""
         if not self._max_cache:
             return
         for (tname, column), current in list(self._max_cache.items()):
-            if tname != table.name:
+            if tname != table.name or column not in names:
                 continue
+            i = names.index(column)
             best = current
             for row in rows:
-                value = row.get(column)
+                value = row[i]
                 if value is not None and (best is None or value > best):
                     best = value
             self._max_cache[(tname, column)] = best
@@ -127,7 +131,23 @@ class SqliteDatabase:
             for table in tables:
                 cur.execute(table.create_sql())
                 for stmt in table.index_sql():
-                    cur.execute(stmt)
+                    try:
+                        cur.execute(stmt)
+                    except sqlite3.IntegrityError as exc:
+                        # only a unique index fails on rows already there
+                        raise ValueError(
+                            f"table {table.name!r} holds rows with duplicate "
+                            f"keys, so its unique index cannot be created: {exc}"
+                        ) from exc
+
+    def insert(self, table: Table, row: Dict[str, Any]) -> None:
+        self.insert_many(table, [row])
+
+    def insert_many(self, table: Table, rows: Iterable[Dict[str, Any]]) -> int:
+        names = table.column_names()
+        return self.insert_values(
+            table, names, [[r[n] for n in names] for r in map(table.coerce_row, rows)]
+        )
 
     def _insert_sql(self, table: Table, names: Sequence[str]) -> str:
         key = ("insert", table.name, tuple(names))
@@ -139,25 +159,57 @@ class SqliteDatabase:
             )
         return sql
 
-    def insert(self, table: Table, row: Dict[str, Any]) -> None:
-        coerced = table.coerce_row(row)
-        names = list(coerced)
-        sql = self._insert_sql(table, names)
-        with self._lock:
-            self._conn.execute(sql, [coerced[n] for n in names])
-            self._bump_max_cache(table, (coerced,))
-
-    def insert_many(self, table: Table, rows: Iterable[Dict[str, Any]]) -> int:
-        coerced = [table.coerce_row(r) for r in rows]
-        if not coerced:
+    def insert_values(
+        self, table: Table, names: Sequence[str], rows: Sequence[Sequence[Any]]
+    ) -> int:
+        """Insert rows already in storage form (values for ``names``, in
+        that order; see :meth:`Table.row_encoder`) as one executemany."""
+        if not rows:
             return 0
-        names = table.column_names()
         sql = self._insert_sql(table, names)
-        params = [[row.get(n) for n in names] for row in coerced]
         with self._lock:
-            self._conn.executemany(sql, params)
-            self._bump_max_cache(table, coerced)
-        return len(coerced)
+            self._conn.executemany(sql, rows)
+            self._bump_max_cache(table, names, rows)
+        return len(rows)
+
+    def upsert_values(
+        self,
+        table: Table,
+        names: Sequence[str],
+        rows: Sequence[Sequence[Any]],
+        merge: Dict[str, str],
+    ) -> int:
+        """:meth:`insert_values`, folding a row whose key (the table's
+        :class:`~repro.orm.table.Unique` index) matches a stored row's
+        into that row instead.
+
+        ``merge`` says how each folded column combines with the stored
+        value: ``"+"`` adds, ``"min"``/``"max"`` keep the smaller/larger;
+        a column it omits keeps the stored value.  Returns the number of
+        rows written.
+        """
+        if not rows:
+            return 0
+        key = ("upsert", table.name, tuple(names), tuple(merge.items()))
+        sql = self._stmt_cache.get(key)
+        if sql is None:
+            unique = [ix for ix in table.indexes if isinstance(ix, Unique)]
+            if not unique:
+                raise ValueError(f"table {table.name!r} declares no Unique key")
+            folds = ", ".join(
+                f"{n} = {n} + excluded.{n}" if how == "+" else f"{n} = {how}({n}, excluded.{n})"
+                for n, how in merge.items()
+            )
+            sql = self._stmt_cache[key] = (
+                f"{self._insert_sql(table, names)} "
+                f"ON CONFLICT ({', '.join(unique[0])}) DO UPDATE SET {folds}"
+            )
+        with self._lock:
+            self._conn.executemany(sql, rows)
+            self._bump_max_cache(table, names, rows)
+            if any((table.name, n) in self._max_cache for n in merge):
+                self._drop_max_cache(table.name)
+        return len(rows)
 
     def select(self, query: Query) -> List[Dict[str, Any]]:
         sql, params = query.to_sql()
@@ -168,10 +220,18 @@ class SqliteDatabase:
     def update(
         self, table: Table, values: Dict[str, Any], where: Dict[str, Any]
     ) -> int:
-        if not values:
+        return self.update_many(table, [(values, where)])
+
+    def update_many(
+        self, table: Table, updates: Sequence[Tuple[Dict[str, Any], Dict[str, Any]]]
+    ) -> int:
+        """Apply ``(values, where)`` pairs as one executemany; every pair
+        names the first pair's columns, in the same order.  Returns the
+        number of rows changed."""
+        if not updates or not updates[0][0]:
             return 0
-        set_names = list(values)
-        where_names = list(where)
+        set_names = list(updates[0][0])
+        where_names = list(updates[0][1])
         key = ("update", table.name, tuple(set_names), tuple(where_names))
         sql = self._stmt_cache.get(key)
         if sql is None:
@@ -184,11 +244,15 @@ class SqliteDatabase:
                     else ""
                 )
             )
+        set_plan = [(n, table.by_name[n].type.to_storage) for n in set_names]
+        where_plan = [(n, table.by_name[n].type.to_storage) for n in where_names]
         params = [
-            table.by_name[n].type.to_storage(values[n]) for n in set_names
-        ] + [table.by_name[n].type.to_storage(where[n]) for n in where_names]
+            [convert(values[n]) for n, convert in set_plan]
+            + [convert(where[n]) for n, convert in where_plan]
+            for values, where in updates
+        ]
         with self._lock:
-            cur = self._conn.execute(sql, params)
+            cur = self._conn.executemany(sql, params)
             if any((table.name, n) in self._max_cache for n in set_names):
                 self._drop_max_cache(table.name)
             return cur.rowcount

@@ -1,11 +1,11 @@
 """Table metadata: ordered columns, row coercion, DDL generation."""
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.orm.columns import Column, Integer, Real, Text
 
-__all__ = ["Table"]
+__all__ = ["Table", "Unique"]
 
 #: sentinel distinguishing "column absent from the row" from None values
 _MISSING = object()
@@ -16,11 +16,20 @@ _MISSING = object()
 _PASSTHROUGH = {Integer: int, Real: float, Text: str}
 
 
+class Unique(tuple):
+    """A composite index whose columns form a key (``CREATE UNIQUE
+    INDEX``), so it can be the conflict target of an upsert."""
+
+    def __new__(cls, *columns: str) -> "Unique":
+        return super().__new__(cls, columns)
+
+
 class Table:
     """Schema metadata for one table.
 
     ``indexes`` declares composite (covering) indexes as column-name
-    tuples; single-column indexes keep using ``Column(index=True)``.
+    tuples, or as :class:`Unique` keys; single-column indexes keep using
+    ``Column(index=True)``.
     """
 
     def __init__(
@@ -39,7 +48,9 @@ class Table:
         pks = [c for c in columns if c.primary_key]
         if len(pks) > 1:
             raise ValueError(f"table {name!r} declares multiple primary keys")
-        self.indexes: List[tuple] = [tuple(ix) for ix in indexes]
+        self.indexes: List[tuple] = [
+            ix if isinstance(ix, Unique) else tuple(ix) for ix in indexes
+        ]
         for ix in self.indexes:
             unknown = [c for c in ix if c not in names]
             if unknown:
@@ -85,8 +96,14 @@ class Table:
             for c in self.columns
             if c.index and not c.primary_key
         ]
+        # a unique key is named apart from a plain index on the same
+        # columns, so an archive created before the key was declared
+        # gains it on open
         composite = [
-            f"CREATE INDEX IF NOT EXISTS ix_{self.name}_{'_'.join(ix)} "
+            f"CREATE UNIQUE INDEX IF NOT EXISTS ux_{self.name}_{'_'.join(ix)} "
+            f"ON {self.name} ({', '.join(ix)})"
+            if isinstance(ix, Unique)
+            else f"CREATE INDEX IF NOT EXISTS ix_{self.name}_{'_'.join(ix)} "
             f"ON {self.name} ({', '.join(ix)})"
             for ix in self.indexes
         ]
@@ -122,6 +139,41 @@ class Table:
                 )
             out[name] = stored
         return out
+
+    def row_encoder(self, names: Sequence[str]) -> Callable[[Sequence[Any]], List[Any]]:
+        """The storage conversion of rows given as values for ``names``, in
+        that order: what :meth:`coerce_row` does to a dict, planned once.
+
+        Unknown names raise here; a None for a NOT NULL column raises per
+        value.  Every name must be given a value (no defaults are filled).
+        """
+        unknown = [n for n in names if n not in self._known]
+        if unknown:
+            raise ValueError(f"unknown column(s) for {self.name!r}: {sorted(unknown)}")
+        exacts = tuple(_PASSTHROUGH.get(type(self.by_name[n].type)) for n in names)
+        converts = tuple(self._converter(self.by_name[n]) for n in names)
+
+        def encode(values: Sequence[Any]) -> List[Any]:
+            return [
+                value if type(value) is exact else convert(value)
+                for value, exact, convert in zip(values, exacts, converts)
+            ]
+
+        return encode
+
+    def _converter(self, column: Column) -> Callable[[Any], Any]:
+        to_storage = column.type.to_storage
+        if column.nullable or column.primary_key:
+            return to_storage
+        where = f"{self.name}.{column.name}"
+
+        def not_null(value: Any) -> Any:
+            stored = to_storage(value)
+            if stored is None:
+                raise ValueError(f"column {where} is NOT NULL but got None")
+            return stored
+
+        return not_null
 
     def from_storage(self, values: Sequence[Any]) -> Dict[str, Any]:
         """Convert a storage tuple (in column order) back to a row dict."""

@@ -1,6 +1,12 @@
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.archive import ALL_TABLES, StampedeArchive
+from repro.archive.merge import canonical_dump, diff_canonical
+from repro.core.rollup import verify_rollups
+from repro.loader import load_events, make_loader
 from repro.model.entities import (
     HostRow,
     InvocationRow,
@@ -11,6 +17,8 @@ from repro.model.entities import (
     WorkflowRow,
     WorkflowStateRow,
 )
+from repro.orm import Unique
+from repro.replay.soak import mixed_trace
 
 from tests.helpers import STORAGE_MODES, sqlite_path
 
@@ -184,3 +192,57 @@ class TestStore:
         (st,) = archive.query(WorkflowStateRow).eq("wf_id", 1).all()
         assert st.state == "WORKFLOW_STARTED"
         assert st.status is None
+
+
+def _plain_key_indexes(path):
+    """Give an archive file the rollup indexes it had before the rollup
+    keys were declared Unique: the same columns, not unique, other names."""
+    with closing(sqlite3.connect(path)) as conn:
+        for table in ALL_TABLES:
+            for ix in table.indexes:
+                if isinstance(ix, Unique):
+                    name = f"{table.name}_{'_'.join(ix)}"
+                    conn.execute(f"DROP INDEX ux_{name}")
+                    conn.execute(f"CREATE INDEX ix_{name} ON {table.name} ({', '.join(ix)})")
+        conn.commit()
+
+
+def _unique_indexes(path, table):
+    with closing(sqlite3.connect(path)) as conn:
+        return [row[1] for row in conn.execute(f"PRAGMA index_list({table})") if row[2]]
+
+
+class TestArchivesWrittenBeforeUniqueKeys:
+    def test_reopened_archive_gains_keys_and_keeps_loading(self, tmp_path):
+        events = [r.as_event() for r in mixed_trace(seed=11)]
+        half = len(events) // 2
+        path = tmp_path / "old.db"
+        first = make_loader(f"sqlite:///{path}")
+        first.process_all(events[:half])
+        first.archive.close()
+        _plain_key_indexes(path)
+        assert _unique_indexes(path, "rollup_type") == []
+
+        rest = make_loader(f"sqlite:///{path}")
+        assert _unique_indexes(path, "rollup_type") == [
+            "ux_rollup_type_wf_id_transformation"
+        ]
+        rest.process_all(events[half:])
+        sequential = load_events(events).archive
+        assert diff_canonical(
+            canonical_dump(sequential), canonical_dump(rest.archive)
+        ) == []
+        assert verify_rollups(rest.archive) == []
+
+    def test_duplicated_rollup_key_fails_on_open(self, tmp_path):
+        path = tmp_path / "dup.db"
+        load_events(
+            [r.as_event() for r in mixed_trace(seed=11)][:2000],
+            conn_string=f"sqlite:///{path}",
+        ).archive.close()
+        _plain_key_indexes(path)
+        with closing(sqlite3.connect(path)) as conn:
+            conn.execute("INSERT INTO rollup_host SELECT * FROM rollup_host LIMIT 1")
+            conn.commit()
+        with pytest.raises(ValueError, match="rollup_host"):
+            StampedeArchive.open(f"sqlite:///{path}")

@@ -31,7 +31,12 @@ from repro.model.entities import (
 )
 from repro.query.api import StampedeQuery
 
-from tests.helpers import diamond_events, rollup_dump as _rollup_dump, strip_rollups
+from tests.helpers import (
+    dart_events,
+    diamond_events,
+    rollup_dump as _rollup_dump,
+    strip_rollups,
+)
 
 
 def _stats_equal(a, b):
@@ -150,7 +155,7 @@ class TestRebuildAndVerify:
         for events, batch_size in (
             (diamond_events(retries={"b": 1, "c": 1}), 500),
             (merged, batch_size),
-            (_dart_events(), 100),  # sub-workflow invocation_wall take-back
+            (dart_events(), 100),  # sub-workflow invocation_wall take-back
         ):
             loader = load_events(list(events), batch_size=batch_size)
             before = _rollup_dump(loader.archive)
@@ -365,7 +370,7 @@ class TestShardedAndTiered:
 
 class TestHierarchy:
     def test_dart_subworkflows_match_scan(self):
-        loader = load_events(_dart_events(), batch_size=100)
+        loader = load_events(dart_events(), batch_size=100)
         assert loader.archive.count(RollupWorkflowRow) > 1  # root + bundles
         assert verify_rollups(loader.archive) == []
         query = StampedeQuery(loader.archive)
@@ -374,19 +379,6 @@ class TestHierarchy:
             workflow_statistics(loader.archive, wf_id=root.wf_id),
             scan_statistics(loader.archive, wf_id=root.wf_id),
         )
-
-
-def _dart_events():
-    """A DART sweep: a root workflow and its sub-workflow bundles."""
-    from repro.dart import run_dart_experiment
-    from repro.dart.sweep import generate_commands
-    from repro.triana.appender import MemoryAppender
-
-    sink = MemoryAppender()
-    run_dart_experiment(
-        sink, seed=7, commands=generate_commands()[:48], chunk_size=16
-    )
-    return list(sink.events)
 
 
 class TestCli:

@@ -109,6 +109,19 @@ def rollup_dump(archive):
     return [wf] + rest
 
 
+def dart_events():
+    """A DART sweep: a root workflow and its sub-workflow bundles."""
+    from repro.dart import run_dart_experiment
+    from repro.dart.sweep import generate_commands
+    from repro.triana.appender import MemoryAppender
+
+    sink = MemoryAppender()
+    run_dart_experiment(
+        sink, seed=7, commands=generate_commands()[:48], chunk_size=16
+    )
+    return list(sink.events)
+
+
 def _ev(name: str, ts: float, **attrs) -> NLEvent:
     attrs.setdefault("xwf.id", XWF)
     return NLEvent(name, ts, attrs)

@@ -1,8 +1,10 @@
 import pytest
 
 from repro.archive import StampedeArchive
+from repro.archive.merge import canonical_dump, diff_canonical
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
+from repro.core.rollup import verify_rollups
 from repro.loader import (
     LoaderError,
     LoaderStats,
@@ -25,9 +27,10 @@ from repro.model.entities import (
 from repro.netlogger.events import NLEvent
 from repro.netlogger.stream import write_events
 from repro.query import StampedeQuery
+from repro.replay.soak import mixed_trace
 from repro.schema.stampede import Events
 
-from tests.helpers import XWF, diamond_events
+from tests.helpers import XWF, dart_events, diamond_events, rollup_dump
 
 
 class TestLoaderBasics:
@@ -170,12 +173,45 @@ class TestLoaderStrictness:
             loader.process(event)
 
 
+def _rounded(dump):
+    """A rollup dump with its float sums to 1e-6: how a batch groups the
+    additions moves their last bits (the traces carry 6 decimals)."""
+    return [
+        [tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows]
+        for rows in dump
+    ]
+
+
+@pytest.fixture(scope="module")
+def parity_workloads():
+    """Each workload's events with its default-batch archive dumps."""
+    workloads = {}
+    for name, events in (
+        ("mixed", [r.as_event() for r in mixed_trace(seed=11)]),
+        ("retry_diamond", diamond_events(retries={"b": 1})),
+        ("dart", dart_events()),
+    ):
+        archive = load_events(events).archive
+        workloads[name] = (
+            events, canonical_dump(archive), _rounded(rollup_dump(archive))
+        )
+    return workloads
+
+
 class TestBatching:
-    @pytest.mark.parametrize("batch_size", [1, 7, 500])
-    def test_batch_sizes_equivalent(self, batch_size):
+    @pytest.mark.parametrize("batch_size", [1, 7, 500, 10**6])
+    def test_batch_sizes_equivalent(self, batch_size, parity_workloads):
+        """At batch 1 every update targets a committed row (``update_many``);
+        at 10**6 every update folds into its insert.  Each batch size
+        writes the default batch's archive."""
         loader = load_events(diamond_events(), batch_size=batch_size)
         assert loader.archive.count(InvocationRow) == 4
         assert loader.archive.count(JobStateRow) == 16
+        for events, rows, rollups in parity_workloads.values():
+            archive = load_events(events, batch_size=batch_size).archive
+            assert diff_canonical(rows, canonical_dump(archive)) == []
+            assert _rounded(rollup_dump(archive)) == rollups
+            assert verify_rollups(archive) == []
 
     def test_small_batches_flush_more(self):
         big = load_events(diamond_events(), batch_size=1000)

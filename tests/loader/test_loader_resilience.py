@@ -32,7 +32,7 @@ from repro.util.retry import RetryPolicy
 
 from tests.archive.test_shard import workload_events
 from tests.bus.test_net import wait_until, wire_events
-from tests.helpers import diamond_events
+from tests.helpers import diamond_events, rollup_dump
 from tests.loader.test_checkpoint_resume import dump_archive
 
 QUEUE = "stampede"
@@ -326,13 +326,13 @@ class TestMidTransactionFailure:
     the batch exactly once."""
 
     @staticmethod
-    def checkpointed_load(events, fail_attempt=None):
+    def checkpointed_load(events, fail_attempt=None, batch_size=50):
         archive = StampedeArchive.open("sqlite:///:memory:")
         if fail_attempt is not None:
             archive.db = FailAtCommit(archive.db, fail_attempt)
         loader = StampedeLoader(
             archive,
-            batch_size=50,
+            batch_size=batch_size,
             checkpoint=CheckpointManager(archive, "stream"),
             retry_policy=RetryPolicy(max_retries=2, base_delay=0.0, max_delay=0.0),
         )
@@ -362,6 +362,22 @@ class TestMidTransactionFailure:
         got = failed.checkpoint.load()
         assert got.position == want.position == len(events)
         assert got.state == want.state
+
+    def test_rolled_back_folded_flush_replays_exactly_once(self):
+        """One batch: every update folds into the insert of its row, and
+        the only flush fails after writing them; the retry folds again."""
+        events = workload_events()
+        clean = self.checkpointed_load(events, batch_size=10**6)
+        failed = self.checkpointed_load(events, fail_attempt=1, batch_size=10**6)
+
+        assert failed.archive.db.uncommitted_rows > 0
+        assert failed.stats.retries == 1
+        assert failed.stats.flushes == clean.stats.flushes == 1
+        assert diff_canonical(
+            canonical_dump(clean.archive), canonical_dump(failed.archive)
+        ) == []
+        assert rollup_dump(failed.archive) == rollup_dump(clean.archive)
+        assert verify_rollups(failed.archive) == []
 
 
 class FailWorkflowRead:

@@ -9,6 +9,7 @@ from repro.orm import (
     SqliteDatabase,
     Table,
     Text,
+    Unique,
     connect,
 )
 
@@ -82,6 +83,14 @@ class TestTableMetadata:
         with pytest.raises(ValueError):
             people.coerce_row({"id": 1, "name": None})
 
+    def test_row_encoder_checks(self, people):
+        with pytest.raises(ValueError, match="nope"):
+            people.row_encoder(["id", "nope"])  # once, when planned
+        encode = people.row_encoder(["id", "name", "score", "active"])
+        assert encode([1, "x", 2, "yes"]) == [1, "x", 2.0, 1]
+        with pytest.raises(ValueError, match="people.name is NOT NULL"):
+            encode([2, None, 0.0, True])  # per value
+
     def test_coerce_applies_defaults(self, people):
         row = people.coerce_row({"id": 1, "name": "x"})
         assert row["score"] == 0.0
@@ -141,6 +150,40 @@ class TestBackends:
         seed(db, people)
         rows = db.select(Query(people).order_by("id").limit(1, offset=1))
         assert [r["id"] for r in rows] == [2]
+
+    def test_update_many(self, db, people):
+        seed(db, people)
+        changed = db.update_many(
+            people, [({"age": 40}, {"id": 1}), ({"age": 41}, {"id": 3}), ({"age": 1}, {"id": 9})]
+        )
+        assert changed == 2
+        rows = db.select(Query(people).order_by("id"))
+        assert [r["age"] for r in rows] == [40, 25, 41]
+        assert db.update_many(people, []) == 0
+
+    def test_upsert_folds_into_the_unique_key(self, db):
+        totals = Table(
+            "totals",
+            [
+                Column("k", Text(), nullable=False),
+                Column("n", Integer(), default=0),
+                Column("low", Real()),
+                Column("high", Real()),
+            ],
+            indexes=[Unique("k")],
+        )
+        assert totals.index_sql() == [
+            "CREATE UNIQUE INDEX IF NOT EXISTS ux_totals_k ON totals (k)"
+        ]
+        db.create_tables([totals])
+        names = ["k", "n", "low", "high"]
+        merge = {"n": "+", "low": "min", "high": "max"}
+        assert db.upsert_values(totals, names, [["a", 1, 2.0, 2.0], ["b", 5, 1.0, 1.0]], merge) == 2
+        db.upsert_values(totals, names, [["a", 2, 1.0, 1.5], ["c", 1, 0.0, 0.0]], merge)
+        rows = db.select(Query(totals).order_by("k"))
+        assert [(r["k"], r["n"], r["low"], r["high"]) for r in rows] == [
+            ("a", 3, 1.0, 2.0), ("b", 5, 1.0, 1.0), ("c", 1, 0.0, 0.0)
+        ]
 
     def test_update(self, db, people):
         seed(db, people)
