@@ -337,9 +337,10 @@ class ShardedLoader:
         must be re-read from there, and each shard skips events
         at or below its own (possibly further advanced) floor — replay
         is idempotent per shard without any cross-shard fsync ordering.
+        Without a ``checkpoint_source`` there is nothing to restore: 0.
         """
         if self.checkpoint_source is None:
-            raise ShardError("resume() needs a checkpoint_source")
+            return 0
         self.floors = [loader.resume() for loader in self.loaders]
         # Re-teach the router the sub-workflow -> root mappings already
         # archived: their plan events sit *below* the re-read floor, so

@@ -110,15 +110,11 @@ class EventConsumer:
         queue_name: Optional[str] = None,
         exchange: str = DEFAULT_EXCHANGE,
         durable: bool = False,
-        max_length: Optional[int] = None,
-        overflow: str = "drop-oldest",
     ):
         self._broker = broker
         self._pattern = pattern
         self._exchange = exchange
         self._durable = durable
-        self._max_length = max_length
-        self._overflow = overflow
         self.reconnects = 0
         self._consumer: Consumer = broker.subscribe(
             pattern,
@@ -128,8 +124,6 @@ class EventConsumer:
             # a durable queue must survive its consumer disconnecting —
             # that is the whole point of declaring it durable
             auto_delete=not durable,
-            max_length=max_length,
-            overflow=overflow,
         )
         # remember the resolved name so a reconnect reattaches to the
         # same (durable) queue rather than an anonymous fresh one
@@ -156,8 +150,6 @@ class EventConsumer:
             exchange=self._exchange,
             durable=self._durable,
             auto_delete=not self._durable,
-            max_length=self._max_length,
-            overflow=self._overflow,
         )
 
     def get(

@@ -102,6 +102,10 @@ SERVER_WAIT_CAP = 5.0
 #: of work to redeliver
 PREFETCH = 256
 
+#: fire-and-forget publishes a :class:`RemotePublisher` sends before its
+#: next :meth:`~RemotePublisher.flush` barrier
+FLUSH_EVERY = 512
+
 #: socket-level timeout on client request/reply exchanges; generous
 #: because a flush barrier behind a large publish burst is legitimate
 _CLIENT_SOCKET_TIMEOUT = 60.0
@@ -597,14 +601,12 @@ class RemotePublisher:
         exchange: str = DEFAULT_EXCHANGE,
         publisher_id: Optional[str] = None,
         stamp: bool = True,
-        flush_every: int = 512,
         retry: Optional[RetryPolicy] = None,
     ):
         self._host, self._port = parse_bus_url(url)
         self._exchange = exchange
         self.publisher_id = publisher_id or f"pub-{new_trace_id()}"
         self._stamp = stamp
-        self._flush_every = max(1, flush_every)
         self._retry = retry or RetryPolicy(max_retries=4, base_delay=0.05)
         self._keyer = PartitionKeyer()
         self._conn: Optional[_ClientConn] = None
@@ -651,7 +653,7 @@ class RemotePublisher:
                 f"lost connection to bus server {self._host}:{self._port}"
             ) from None
         self._unflushed += 1
-        if self._unflushed >= self._flush_every:
+        if self._unflushed >= FLUSH_EVERY:
             self.flush()
         return 1
 
@@ -720,18 +722,15 @@ class RemoteConsumer:
         group: Optional[str] = None,
         member_id: Optional[str] = None,
         partitions: int = 8,
-        exchange: str = DEFAULT_EXCHANGE,
-        retry: Optional[RetryPolicy] = None,
     ):
         self._host, self._port = parse_bus_url(url)
         self._pattern = pattern
-        self._exchange = exchange
         self._durable = durable
         self._group = group
         self._member_id = member_id
         self._partitions = partitions
         self._queue_name = queue_name
-        self._retry = retry or RetryPolicy(
+        self._retry = RetryPolicy(
             max_retries=6, base_delay=0.05, max_delay=1.0, jitter="decorrelated"
         )
         self._conn: Optional[_ClientConn] = None
@@ -748,7 +747,7 @@ class RemoteConsumer:
         frame: Dict[str, object] = {
             "op": "subscribe",
             "pattern": self._pattern,
-            "exchange": self._exchange,
+            "exchange": DEFAULT_EXCHANGE,
             "durable": self._durable,
         }
         if self._group:

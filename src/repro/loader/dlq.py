@@ -60,12 +60,10 @@ class DeadLetterQueue:
         archive,
         source: str = "",
         broker: Optional[Broker] = None,
-        queue_name: str = DEAD_LETTER_QUEUE,
     ):
         self.archive = archive
         self.source = str(source)
         self.broker = broker
-        self.queue_name = queue_name
         archive.db.create_tables([DLQ_TABLE])
         self._next_id = int(archive.db.max_value(DLQ_TABLE, "dlq_id") or 0) + 1
         self.quarantined = 0
@@ -89,7 +87,7 @@ class DeadLetterQueue:
         if self.broker is not None:
             # straight to the DLQ queue — poison must not re-route through
             # bindings back into the consumer that rejected it
-            self.broker.declare_queue(self.queue_name, durable=True).put(
+            self.broker.declare_queue(DEAD_LETTER_QUEUE, durable=True).put(
                 routing_key or "loader.poison",
                 str(body),
                 headers={"x-death": "poison", "x-error": str(error)},

@@ -35,7 +35,6 @@ def follow_file(
     path: PathLike,
     loader: StampedeLoader,
     poll: Callable[[], bool],
-    start_offset: int = 0,
     parse_mode: str = "fast",
 ) -> int:
     """Tail a BP file into the loader until ``poll()`` returns False.
@@ -50,8 +49,9 @@ def follow_file(
     freshness.
     The loader's source position tracks the byte offset after each
     event's line, so a checkpointing loader records exactly how far into
-    the file each committed batch reaches; ``start_offset`` skips the
-    prefix a previous run already archived.
+    the file each committed batch reaches, and the tail starts where
+    :meth:`~StampedeLoader.resume` says: past the prefix a previous run
+    archived, or at the first byte.
     """
     loaded = 0
 
@@ -59,7 +59,7 @@ def follow_file(
         loader.flush_if_due(dry=True)
         return poll()
 
-    lines = tail_raw(path, at_eof, start_offset=start_offset)
+    lines = tail_raw(path, at_eof, start_offset=loader.resume())
     for event in positioned(loader, lines, bp_decoder(fast=parse_fast(parse_mode))):
         loader.process(event)
         loaded += 1
@@ -73,7 +73,8 @@ class Monitord:
 
     Stops automatically when the root workflow's WORKFLOW_TERMINATED state
     appears in the archive and the file has been drained, or when
-    :meth:`stop` is called.
+    :meth:`stop` is called.  A checkpointing loader continues where its
+    previous run committed (:func:`follow_file`).
     """
 
     def __init__(
@@ -82,16 +83,12 @@ class Monitord:
         loader: StampedeLoader,
         poll_interval: float = 0.02,
         expected_terminations: int = 1,
-        resume: bool = False,
         parse_mode: str = "fast",
     ):
-        if resume and loader.checkpoint is None:
-            raise ValueError("resume=True requires a loader with a checkpoint manager")
         self.path = path
         self.loader = loader
         self.poll_interval = poll_interval
         self.expected_terminations = expected_terminations
-        self.resume = resume
         self.parse_mode = parse_mode
         self.events_loaded = 0
         self._error: Optional[BaseException] = None
@@ -148,18 +145,13 @@ class Monitord:
 
     def _run(self) -> None:
         try:
-            start_offset = self.loader.resume() if self.resume else 0
             # wait for the file to exist (the engine may not have started yet)
             while not os.path.exists(self.path):
                 if self._stop.is_set():
                     return
                 time.sleep(self.poll_interval)
             self.events_loaded = follow_file(
-                self.path,
-                self.loader,
-                self._poll,
-                start_offset=start_offset,
-                parse_mode=self.parse_mode,
+                self.path, self.loader, self._poll, parse_mode=self.parse_mode
             )
         except BaseException as exc:  # noqa: BLE001 - re-raised from join()
             self._error = exc

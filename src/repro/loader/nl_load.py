@@ -6,16 +6,18 @@ the ``stampede_loader`` module, mirroring the paper's invocation::
     nl_load --amqp-host=... -A queue=stampede stampede_loader \
         connString=sqlite:///test.db
 
-One front-end, two sources:
+One front-end, two sources, each handing events to a sink with
+``process`` / ``flush`` / ``position`` / ``resume`` (a
+:class:`StampedeLoader` or a sharded loader) and starting where
+``sink.resume()`` says — 0 without a checkpoint:
 
-* :func:`load_file` — the single file driver: a path or stream of BP
-  lines, decoded (optionally through the ``--lint`` quarantine step)
-  into any sink with ``process`` / ``flush`` / ``position`` / ``resume``
-  (a :class:`StampedeLoader` or a sharded loader);
-  :func:`load_events` is the same for an in-memory iterable;
-* :func:`load_from_bus` — attach to a broker queue (in-process or
-  ``tcp://``) and drain it, optionally following a live run until a
-  predicate says stop;
+* :func:`load_file` — a path or stream of BP lines, decoded (optionally
+  through the ``--lint`` quarantine step); :func:`load_events` is the
+  same for an in-memory iterable;
+* :func:`load_from_bus` — a broker queue (in-process or ``tcp://``),
+  drained or followed until a predicate says stop, through a
+  :class:`BusSource` that turns at-least-once deliveries into
+  exactly-once rows;
 
 and :func:`main`, the ``nl-load`` command line over both.
 """
@@ -51,6 +53,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import PipelineClock
 
 __all__ = [
+    "BusSource",
     "load_events",
     "load_file",
     "load_from_bus",
@@ -76,9 +79,9 @@ def make_loader(
     dashboard as soon as it commits.
 
     ``checkpoint_source`` names the input (a file path, a queue name) in
-    the archive's checkpoint table and turns on crash-safe checkpointing:
-    every flush atomically records the source position alongside the rows
-    it made durable, so an interrupted load can :meth:`~StampedeLoader.resume`.
+    the archive's checkpoint table: every flush then records the source
+    position with the rows it made durable, and every driver starts
+    where :meth:`~StampedeLoader.resume` says.
 
     ``metrics`` attaches a self-monitoring registry: the archive's
     transactions are timed, the loader's flush latency is observed into
@@ -145,7 +148,6 @@ def load_file(
     sink=None,
     *,
     on_error: OnError = "raise",
-    resume: bool = False,
     parse_mode: str = "fast",
     lint: Optional[Decode] = None,
     **loader_kwargs,
@@ -154,12 +156,10 @@ def load_file(
 
     ``sink`` is a :class:`StampedeLoader` (built from ``loader_kwargs``
     when omitted) or a :class:`repro.archive.shard.ShardedLoader`; the
-    byte offset after each event's line is its source position, so a
-    checkpointing sink records with every flush exactly how far into the
-    file the archive is.  ``resume=True`` re-reads from the position
-    ``sink.resume()`` reports instead of from the start (a sharded sink
-    reports its minimum shard floor; each shard skips what it already
-    committed).
+    byte offset after each event's line is its source position, which a
+    checkpointing sink commits with every flush.  The load starts where
+    ``sink.resume()`` says — 0 without a checkpoint; a sharded sink's
+    lowest shard floor — so loading a file again continues it.
 
     ``on_error`` is the :func:`~repro.netlogger.stream.bp_decoder`
     policy for malformed lines, called with the byte offset as position;
@@ -171,8 +171,7 @@ def load_file(
     decode = lint if lint is not None else bp_decoder(on_error, parse_fast(parse_mode))
     if sink is None:
         sink = make_loader(**loader_kwargs)
-    start = sink.resume() if resume else 0
-    sink.process_all(positioned(sink, read_raw(source, start), decode))
+    sink.process_all(positioned(sink, read_raw(source, sink.resume()), decode))
     return sink
 
 
@@ -220,6 +219,234 @@ class _LintDecode:
             self._qfh.close()
 
 
+#: what a poison payload raises: dead-lettered, never retried
+POISON = (LoaderError, TypeError, ValueError, KeyError)
+
+
+class BusSource:
+    """One consumer's at-least-once deliveries as exactly-once rows (§IV-C).
+
+    The source owns everything between the consumer and the loader: the
+    open batch's deliveries, acked together by :meth:`commit` (the
+    loader's ``on_flush``); the :class:`~repro.bus.reliable.Resequencer`
+    that restores publish order and drops duplicates, and the floors it
+    gives the checkpoint (:meth:`floors`); the ``PipelineClock`` hooks;
+    :meth:`settle` for deliveries acked outside a commit; and
+    :meth:`lost` for reconnects.  One failure rule holds on the live
+    path, in the spill drain and on a reconnect: poison goes to the
+    dead-letter queue, a transient error past the retry ladder goes to
+    the spill, and recovery runs on the probe deadline.  A spill left by
+    an earlier process drains before anything new commits.
+    """
+
+    def __init__(
+        self,
+        consumer: Any,
+        loader: StampedeLoader,
+        clock: Optional[PipelineClock] = None,
+        dead_letter: Optional[DeadLetterQueue] = None,
+        spill: Optional[SpillBuffer] = None,
+        poll_timeout: float = MAX_PENDING_AGE,
+        fast: bool = True,
+    ):
+        self.consumer = consumer
+        self.loader = loader
+        self.clock = clock
+        self.dead_letter = dead_letter
+        self.spill = spill
+        self.poll_timeout = poll_timeout
+        self.fast = fast
+        self.transient = loader.archive.db.TRANSIENT_ERRORS
+        #: deliveries whose events the open batch holds
+        self.batch: List[Message] = []
+        self.dry = False  # the consumer held nothing more at the last delivery
+        #: deliveries spill: the archive is down, or an old spill drains first
+        self.degraded = bool(spill)
+        self.probe_at = 0.0  # degraded: monotonic time of the next probe
+        self._replayed = 0  # spilled lines the loader already holds
+        # start where the checkpoint says: tags at or below it were archived
+        # before a crash, and the resequencer resumes from the persisted
+        # floors rather than hold every delivery behind committed sequences
+        self._skip_to = loader.resume()
+        self.reseq = Resequencer()
+        self._floors: Dict[str, int] = dict(loader.resumed_reseq)
+        for pub, nxt in self._floors.items():
+            if nxt > 1:
+                self.reseq.seed(pub, nxt)
+
+    # -- the loader's hooks -------------------------------------------------
+    def commit(self, _loader: StampedeLoader) -> None:
+        """``on_flush``: the batch's rows are durable, so ack its deliveries."""
+        if self.clock is not None:
+            self.clock.on_committed(self.batch)
+        try:
+            self.consumer.ack_many(self.batch)
+        except ConnectionLostError:
+            pass  # every tag is stale; see settle
+        self.batch.clear()
+
+    def floors(self) -> Dict[str, int]:
+        """``reseq_state``: each publisher's next sequence, the open batch
+        folded in — the flush persisting them makes that batch durable."""
+        for m in self.batch:
+            hdrs = m.headers or {}
+            pub, seq = hdrs.get(HEADER_PUBLISHER), hdrs.get(HEADER_SEQ)
+            if pub is not None and seq is not None:
+                self._floors[str(pub)] = max(self._floors.get(str(pub), 1), int(seq) + 1)
+        return dict(self._floors)
+
+    # -- deliveries ---------------------------------------------------------
+    def settle(self, msg: Message) -> None:
+        """Ack a delivery outside any commit (skipped, duplicate,
+        dead-lettered or spilled)."""
+        if self.clock is not None:
+            self.clock.on_dropped(msg)
+        try:
+            self.consumer.ack(msg)
+        except (ConnectionLostError, ValueError):
+            pass  # stale after a disconnect: the redelivery settles instead
+
+    def deliver(self, msg: Message) -> None:
+        """One delivery from ``get_message``: account, resequence, consume."""
+        stats = self.loader.stats
+        depth = self.consumer.depth()
+        self.dry = depth == 0
+        stats.record_queue_depth(depth)
+        if self.clock is not None:
+            self.clock.on_delivered(msg)
+        if msg.redelivered:
+            stats.redelivered_events += 1
+        released, duplicates = self.reseq.offer(msg)
+        for dup in duplicates:
+            stats.duplicates_skipped += 1
+            if self.degraded:
+                self.batch.append(dup)  # its original may be in the stuck batch
+            else:
+                self.settle(dup)
+        for ready in released:
+            self.consume(ready)
+        if self.degraded and time.monotonic() >= self.probe_at:
+            self.recover()  # on the deadline too, not only when idle
+
+    def consume(self, msg: Message) -> None:
+        """Hand one released delivery to the loader under the failure rule."""
+        if msg.delivery_tag <= self._skip_to:
+            self.settle(msg)
+            return
+        if self.degraded:
+            self._spill(msg)
+            return
+        loader = self.loader
+        self.batch.append(msg)
+        processed = loader.stats.events_processed
+        loader.position = msg.delivery_tag
+        try:
+            if self._hand_over(msg.body, msg.routing_key, EventConsumer.as_event, msg, self.fast):
+                loader.flush_if_due(self.dry)
+            else:
+                self.batch.remove(msg)
+                self.settle(msg)
+        except self.transient:
+            if loader.stats.events_processed != processed:
+                self._degrade()  # the commit failed; the journal keeps the batch
+                return
+            # a read-through lookup failed before the journal took the
+            # event, so no commit may settle it: spilled ahead of every
+            # later event (its seq is released), or raised, unacked
+            self.batch.remove(msg)
+            self._degrade()
+            self._spill(msg)
+
+    def _hand_over(
+        self, body: object, routing_key: str, parse: Callable[..., NLEvent], *args: Any
+    ) -> bool:
+        """Process ``parse(*args)``; a poison payload goes to the
+        dead-letter queue (False) or, without one, raises.  Transient
+        errors propagate."""
+        try:
+            self.loader.process(parse(*args))
+        except POISON as exc:
+            if self.dead_letter is None:
+                raise
+            self.dead_letter.quarantine(body, f"{type(exc).__name__}: {exc}", routing_key)
+            self.loader.stats.dlq_events += 1
+            return False
+        return True
+
+    # -- outages ------------------------------------------------------------
+    def _degrade(self) -> None:  # the archive outlasted the retry ladder
+        self.loader.stats.archive_outages += 1
+        if self.spill is None:
+            raise  # noqa: PLE0704 - re-raise the active transient error
+        self.degraded = True
+        self.probe_at = time.monotonic() + self.poll_timeout
+
+    def _spill(self, msg: Message) -> None:
+        body = msg.body
+        assert self.spill is not None  # degraded implies a spill
+        self.spill.append(body if isinstance(body, str) else EventConsumer.as_event(msg).to_bp())
+        self.loader.stats.spilled_events += 1
+        self.settle(msg)  # on disk is durable enough to settle
+
+    def recover(self) -> None:
+        """Probe the archive: commit the stuck batch, then replay the spill
+        under the failure rule; a transient error waits for the next probe,
+        which continues after the last line the loader took."""
+        loader, spill = self.loader, self.spill
+        assert spill is not None  # degraded implies a spill
+        try:
+            loader.flush()  # the stuck batch arrived before anything spilled
+            for line in spill.lines()[self._replayed:]:
+                processed = loader.stats.events_processed
+                try:
+                    self._hand_over(line, "", NLEvent.from_bp, line)
+                except self.transient:
+                    if loader.stats.events_processed != processed:
+                        self._replayed += 1  # journalled; its commit failed
+                    raise
+                self._replayed += 1
+            loader.flush()
+        except self.transient:
+            self.probe_at = time.monotonic() + self.poll_timeout
+            return
+        if self._replayed:
+            spill.clear()
+            self._replayed = 0
+            loader.stats.spill_drains += 1
+        self.degraded = False
+
+    def idle(self) -> None:
+        """The batch's deadline or an idle tick: commit the partial batch
+        (degraded: probe the archive instead)."""
+        if self.degraded:
+            self.recover()
+            return
+        try:
+            self.loader.flush()
+        except self.transient:
+            self._degrade()
+
+    def lost(self) -> None:
+        """The broker requeued everything unacked: commit the open batch
+        (degraded, that waits for the probe), forget the requeued
+        deliveries and re-subscribe; redeliveries dedupe as duplicates."""
+        if not self.degraded:
+            self.idle()
+        self.batch.clear()
+        self.reseq.reset_held()
+        self.consumer.reconnect()
+        self.loader.stats.reconnects += 1
+
+    def finish(self) -> None:
+        """End of stream: release what is held for a gap that will never
+        fill, then make the tail durable."""
+        for held in self.reseq.release_pending():
+            self.consume(held)
+        if self.degraded:
+            self.recover()
+        self.loader.flush()
+
+
 def load_from_bus(
     broker: Union[Broker, str],
     pattern: str = "stampede.#",
@@ -228,12 +455,8 @@ def load_from_bus(
     until: Optional[Callable[[StampedeLoader], bool]] = None,
     durable: bool = False,
     poll_timeout: float = MAX_PENDING_AGE,
-    max_length: Optional[int] = None,
-    overflow: str = "drop-oldest",
-    resume: bool = False,
     dead_letter: Union[DeadLetterQueue, bool, None] = None,
     spill: Union[SpillBuffer, str, None] = None,
-    resequence: bool = True,
     parse_mode: str = "fast",
     metrics: Optional[MetricsRegistry] = None,
     group: Optional[str] = None,
@@ -247,69 +470,36 @@ def load_from_bus(
     Drains whatever is queued; with ``until``, keeps consuming until
     ``until(loader)`` is true on an idle tick (e.g. "the
     workflow-terminated state has been recorded") — real-time loading
-    concurrent with a run.  docs/loader.md and docs/resilience.md
-    describe the loop's guarantees; in short:
+    concurrent with a run.  A :class:`BusSource` turns the deliveries
+    into exactly-once rows (docs/loader.md, docs/resilience.md).  Batches
+    commit on the sink's live flush rule
+    (:meth:`~StampedeLoader.flush_if_due`); ``get`` blocks no longer than
+    the open batch can still wait, and at most ``poll_timeout``, the idle
+    tick on which ``until`` is consulted and a degraded source probes.
 
-    * batches commit on the sink's live flush rule
-      (:meth:`~StampedeLoader.flush_if_due`): full, or the queue has run
-      dry — nothing prefetched and none queued as of the last ``get``
-      reply — and the oldest buffered event has waited a few commit
-      costs, or that event is ``MAX_PENDING_AGE`` old; ``get`` blocks no
-      longer than the open batch can still wait
-      (:meth:`~StampedeLoader.commit_wait`);
-    * ``poll_timeout`` is the idle tick: a ``get`` that long without a
-      message flushes what is buffered and consults ``until``, and a
-      degraded loader probes the archive at most that often;
-    * messages are acked only after the batch holding them commits
-      (at-least-once), and ``resequence=True`` runs deliveries through a
-      :class:`~repro.bus.reliable.Resequencer` that restores publish
-      order and drops duplicates — together, exactly-once archive writes;
-    * a lost connection commits the in-flight batch, drops stale state
-      and re-subscribes; redeliveries dedupe against what was committed;
-    * ``dead_letter`` (a :class:`~repro.loader.dlq.DeadLetterQueue`, or
-      True for one over this loader's archive) quarantines poison
-      payloads instead of letting one kill the batch;
-    * ``spill`` (a :class:`~repro.loader.spill.SpillBuffer` or a path)
-      parks events on disk while the archive is down past the retry
-      ladder and drains them back once it recovers;
-    * ``max_length`` + ``overflow='block'`` bound the queue so a slow
-      loader blocks publishers;
-    * ``resume=True`` with a checkpointing loader skips redelivered
-      messages at or below the last committed delivery tag;
-    * ``parse_mode='strict'`` parses string bodies with the reference BP
-      scanner (event-object bodies pass through untouched);
-    * ``metrics`` binds broker, loader and
-      :class:`~repro.obs.spans.PipelineClock` deliver/commit latency
-      collectors to a :class:`~repro.obs.metrics.MetricsRegistry`;
-    * ``broker`` may be a ``tcp://host:port`` url: same loop, same
-      guarantees, over :mod:`repro.bus.net`;
-    * ``group`` joins a consumer group (:mod:`repro.bus.groups`) that
-      splits the stream by root workflow id; ``member_id`` pins this
-      member's identity so a restart resumes the same partitions, and
-      ``partitions`` sizes a group created on first join;
-    * ``on_subscribed(queue_name)`` is called once the subscription is
-      held: a publish that beats it is dead-lettered at the broker, so
-      this is the cue that publishing may start.
+    ``dead_letter`` (a :class:`~repro.loader.dlq.DeadLetterQueue`, or True
+    for one over this loader's archive) takes poison payloads; ``spill``
+    (a :class:`~repro.loader.spill.SpillBuffer` or a path) parks events
+    on disk while the archive is down.  ``broker`` may be a
+    ``tcp://host:port`` url; ``group`` joins a consumer group
+    (:mod:`repro.bus.groups`), ``member_id`` pins this member's
+    partitions across a restart, ``partitions`` sizes a new group.  A
+    checkpointing loader is refused on both: its position is a delivery
+    tag, which only an in-process private queue keeps.
+    ``on_subscribed(queue_name)`` is called once the subscription is
+    held, the cue that publishing may start.
     """
     remote = isinstance(broker, str)
-    if resume and (remote or group is not None):
-        # delivery tags are member-local for groups and
-        # subscription-local over TCP, so a checkpointed tag from an
-        # earlier run cannot be compared against them; group commit
-        # floors / redelivery dedupe already cover crash-restart
-        raise ValueError(
-            "resume=True is only supported for in-process private-queue "
-            "consumers (group/tcp consumers get exactly-once from "
-            "commit floors and the resequencer instead)"
-        )
     if loader is None:
         loader = make_loader(metrics=metrics, **loader_kwargs)
     elif metrics is not None:
         bind_loader(metrics, loader)
-    clock = PipelineClock(metrics) if metrics is not None else None
+    if loader.checkpoint is not None and (remote or group is not None):
+        # group and tcp:// delivery tags are member- and subscription-local:
+        # a checkpointed tag from an earlier run means nothing to them
+        raise ValueError("a checkpointing loader needs an in-process private-queue consumer")
     if metrics is not None and isinstance(broker, Broker):
         bind_broker(metrics, broker)
-    fast = parse_fast(parse_mode)
     consumer: Union[EventConsumer, GroupConsumer, "RemoteConsumer"]
     if remote:
         from repro.bus.net import RemoteConsumer
@@ -337,8 +527,6 @@ def load_from_bus(
             pattern=pattern,
             queue_name=queue_name,
             durable=durable,
-            max_length=max_length,
-            overflow=overflow,
         )
     if on_subscribed is not None:
         on_subscribed(consumer.queue_name)
@@ -350,223 +538,42 @@ def load_from_bus(
             # broker handle; remote loaders keep the archive-table side
             broker=broker if isinstance(broker, Broker) else None,
         )
-    elif dead_letter is False:
-        dead_letter = None
-    if spill is not None and not isinstance(spill, SpillBuffer):
-        spill = SpillBuffer(spill)
-    reseq = Resequencer() if resequence else None
-    transient = loader.archive.db.TRANSIENT_ERRORS
-    skip_to = 0
-    if resume and loader.checkpoint is not None:
-        skip_to = loader.resume()
-    in_flight: List[Message] = []
-    dry = False  # the consumer held nothing more as of the last delivery
-    archive_down = False
-    probe_at = 0.0  # degraded: monotonic time of the next archive probe
-    # Persist resequencer dedupe floors with every checkpoint, and seed
-    # them back on resume: a fresh resequencer starting mid-stream would
-    # otherwise hold every delivery behind sequences committed before the
-    # crash, and a chaos redelivery racing a force-release could be
-    # misread as a duplicate — losing a row.  The floor folds in the
-    # in-flight messages at export time, which flush makes durable in the
-    # very transaction that writes the checkpoint.
-    reseq_floor: Dict[str, int] = dict(loader.resumed_reseq)
-    previous_reseq_state = loader.reseq_state
-    if reseq is not None and loader.checkpoint is not None:
-        def export_reseq_floor() -> Dict[str, int]:
-            for m in in_flight:
-                hdrs = m.headers or {}
-                pub = hdrs.get(HEADER_PUBLISHER)
-                seq = hdrs.get(HEADER_SEQ)
-                if pub is not None and seq is not None:
-                    nxt = int(seq) + 1
-                    if nxt > reseq_floor.get(str(pub), 1):
-                        reseq_floor[str(pub)] = nxt
-            return dict(reseq_floor)
-
-        loader.reseq_state = export_reseq_floor
-        for pub, nxt in loader.resumed_reseq.items():
-            if nxt > 1:
-                reseq.seed(pub, nxt)
-
-    def ack_quiet(msg: Message) -> None:
-        # after a disconnect the tag is stale (the broker requeued the
-        # message); the redelivery will settle through the normal path
-        try:
-            consumer.ack(msg)
-        except (ConnectionLostError, ValueError):
-            pass
-
-    def ack_committed(_loader: StampedeLoader) -> None:
-        # called by the loader after a successful flush commit: every
-        # message whose events are now durable can be settled.
-        if clock is not None:
-            clock.on_committed(in_flight)
-        try:
-            consumer.ack_many(in_flight)
-        except ConnectionLostError:
-            pass  # every tag is stale; see ack_quiet
-        in_flight.clear()
-
-    def enter_degraded() -> None:
-        # the archive outlasted the whole retry ladder
-        nonlocal archive_down, probe_at
-        loader.stats.archive_outages += 1
-        if spill is None:
-            raise  # noqa: PLE0704 - re-raise the active transient error
-        archive_down = True
-        probe_at = time.monotonic() + poll_timeout
-
-    def bp_line(msg: Message) -> str:
-        body = msg.body
-        return body if isinstance(body, str) else EventConsumer.as_event(msg).to_bp()
-
-    def drain_spill() -> None:
-        # journal first — its events arrived before anything spilled —
-        # then replay the spill file in arrival order
-        nonlocal archive_down
-        loader.flush()
-        if spill is not None and spill:
-            for line in spill.lines():
-                loader.process(NLEvent.from_bp(line))
-            loader.flush()
-            spill.clear()
-            loader.stats.spill_drains += 1
-        archive_down = False
-
-    def try_recover() -> None:
-        nonlocal probe_at
-        try:
-            drain_spill()
-        except transient:
-            # still down; stay degraded and spare the archive (and this
-            # thread the retry ladder) for another poll_timeout
-            probe_at = time.monotonic() + poll_timeout
-
-    def consume(msg: Message) -> None:
-        if msg.delivery_tag <= skip_to:
-            if clock is not None:
-                clock.on_dropped(msg)
-            ack_quiet(msg)  # already archived before the crash
-            return
-        try:
-            if archive_down and spill is not None:
-                spill.append(bp_line(msg))
-                loader.stats.spilled_events += 1
-                if clock is not None:
-                    clock.on_dropped(msg)  # settles outside any batch commit
-                ack_quiet(msg)  # on disk is durable enough to settle
-                return
-            in_flight.append(msg)
-            processed = loader.stats.events_processed
-            try:
-                loader.position = msg.delivery_tag
-                loader.process(EventConsumer.as_event(msg, fast))
-                loader.flush_if_due(dry)
-            except transient:
-                if loader.stats.events_processed == processed:
-                    # a read-through lookup failed before the event reached
-                    # the journal, so the next commit must not settle it.
-                    # No requeue (the resequencer has released its seq):
-                    # degraded, it is spilled ahead of every later event;
-                    # without a spill the error propagates, message unacked
-                    in_flight.remove(msg)
-                    enter_degraded()
-                    consume(msg)
-                    return
-                # the flush (batch full, or due) failed beyond retries;
-                # the event's ops are safely journalled (flush only clears
-                # on success), so keep the message in flight and degrade
-                # if possible
-                enter_degraded()
-        except (LoaderError, TypeError, ValueError, KeyError) as exc:
-            # poison event: quarantine it rather than kill the batch
-            if msg in in_flight:
-                in_flight.remove(msg)
-            if dead_letter is None:
-                raise
-            dead_letter.quarantine(
-                msg.body, f"{type(exc).__name__}: {exc}", msg.routing_key
-            )
-            loader.stats.dlq_events += 1
-            if clock is not None:
-                clock.on_dropped(msg)
-            ack_quiet(msg)
-
-    def lost_connection() -> None:
-        # the broker requeued everything unacked, including our
-        # uncommitted batch: commit it now (the acks tolerate the
-        # dead connection), drop state that points at requeued
-        # messages, and re-subscribe — committed redeliveries then
-        # dedupe against the resequencer's release positions.
-        loader.flush()
-        in_flight.clear()
-        if reseq is not None:
-            reseq.reset_held()
-        consumer.reconnect()
-        loader.stats.reconnects += 1
-
-    previous_on_flush = loader.on_flush
-    loader.on_flush = ack_committed
+    source = BusSource(
+        consumer,
+        loader,
+        clock=PipelineClock(metrics) if metrics is not None else None,
+        dead_letter=dead_letter or None,
+        spill=spill if spill is None or isinstance(spill, SpillBuffer) else SpillBuffer(spill),
+        poll_timeout=poll_timeout,
+        fast=parse_fast(parse_mode),
+    )
+    previous = loader.on_flush, loader.reseq_state
+    loader.on_flush, loader.reseq_state = source.commit, source.floors
     started = time.perf_counter()
     try:
         while True:
             # block no longer than the open batch can still wait (degraded,
-            # the stuck batch is past waiting: every delivery checks
-            # probe_at instead)
-            due = None if archive_down else loader.commit_wait()
+            # the stuck batch is past waiting: deliveries check the probe
+            # deadline instead)
+            due = None if source.degraded else loader.commit_wait()
             wait = poll_timeout if due is None else min(poll_timeout, due)
             try:
                 msg = consumer.get_message(timeout=wait, auto_ack=False)
             except ConnectionLostError:
-                lost_connection()
+                source.lost()
                 continue
             if msg is not None:
-                depth = consumer.depth()
-                dry = depth == 0
-                loader.stats.record_queue_depth(depth)
-                if clock is not None:
-                    clock.on_delivered(msg)
-                if msg.redelivered:
-                    loader.stats.redelivered_events += 1
-                released, duplicates = (
-                    reseq.offer(msg) if reseq is not None else ([msg], [])
-                )
-                for dup in duplicates:
-                    loader.stats.duplicates_skipped += 1
-                    if clock is not None:
-                        clock.on_dropped(dup)
-                    ack_quiet(dup)
-                for ready in released:
-                    consume(ready)
-                if archive_down and time.monotonic() >= probe_at:
-                    try_recover()  # on the deadline too, not only when idle
+                source.deliver(msg)
                 continue
-            # the batch's deadline or an idle tick: push out the partial
-            # batch (degraded: probe the archive) ...
-            if archive_down:
-                try_recover()
-            else:
-                try:
-                    loader.flush()
-                except transient:
-                    enter_degraded()
-            # ... and only after a full poll_timeout without a message
-            # consult the stop predicate (or stop, the backlog drained)
+            source.idle()
+            # only after a full poll_timeout without a message consult the
+            # stop predicate (or stop, the backlog drained)
             if wait >= poll_timeout and (until is None or until(loader)):
                 break
-        # end of stream: release anything still held for a gap that will
-        # never fill, then make the tail durable
-        if reseq is not None:
-            for held in reseq.release_pending():
-                consume(held)
-        if archive_down:
-            try_recover()
-        loader.flush()
+        source.finish()
     finally:
         loader.stats.wall_seconds += time.perf_counter() - started
-        loader.on_flush = previous_on_flush
-        loader.reseq_state = previous_reseq_state
+        loader.on_flush, loader.reseq_state = previous
         consumer.cancel()  # requeues anything not acked (crash semantics)
     return loader
 
@@ -638,13 +645,8 @@ def main(argv: Optional[list] = None) -> int:
         "--checkpoint",
         action="store_true",
         help="record crash-safe progress checkpoints in the archive "
-        "(keyed by the input path)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue a checkpointed load after the last committed offset "
-        "(implies --checkpoint)",
+        "(keyed by the input path); a checkpointed load continues after "
+        "its last committed offset",
     )
     parser.add_argument(
         "--faults",
@@ -752,9 +754,9 @@ def main(argv: Optional[list] = None) -> int:
     names = [p for p in positionals if "=" not in p]
     if args.bus is not None:
         args.input = None
-        if args.checkpoint or args.resume:
+        if args.checkpoint:
             parser.error(
-                "--checkpoint/--resume apply to file loads; bus consumers "
+                "--checkpoint applies to file loads; bus consumers "
                 "get crash-safety from redelivery + dedupe instead"
             )
         if args.lint:
@@ -775,13 +777,11 @@ def main(argv: Optional[list] = None) -> int:
         parser.error(f"unknown loader module {module!r}")
     if args.quarantine and not args.lint:
         parser.error("--quarantine requires --lint")
-    if args.resume:
-        args.checkpoint = True
     if args.checkpoint and args.input == "-":
-        parser.error("--checkpoint/--resume need a seekable file, not stdin")
+        parser.error("--checkpoint needs a seekable file, not stdin")
     if args.checkpoint and args.lint:
         parser.error(
-            "--checkpoint/--resume cannot be combined with --lint: the "
+            "--checkpoint cannot be combined with --lint: the "
             "linter's stream state is not checkpointed"
         )
     params = dict(p.split("=", 1) for p in param_args)
@@ -905,7 +905,6 @@ def main(argv: Optional[list] = None) -> int:
             load_file(
                 sys.stdin if args.input == "-" else args.input,
                 sink,
-                resume=args.resume,
                 parse_mode=args.parse_mode,
                 lint=lint,
             )

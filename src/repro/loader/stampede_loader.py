@@ -54,7 +54,7 @@ from repro.model.entities import (
 from repro.model.states import JobState, WorkflowState
 from repro.netlogger.events import NLEvent
 from repro.schema.stampede import STAMPEDE_SCHEMA, Events, SUCCESS
-from repro.util.retry import CircuitBreaker, RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.util.timeutil import parse_ts
 from repro.schema.validator import EventValidator
 
@@ -257,7 +257,6 @@ class StampedeLoader:
         validate: bool = False,
         checkpoint: Optional[CheckpointManager] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         metrics: Optional[Any] = None,
     ):
         """Write ``archive`` in batches of ``batch_size`` journal entries.
@@ -275,8 +274,6 @@ class StampedeLoader:
         self.checkpoint = checkpoint
         # default ladder: 4 retries at 50, 100, 200, 400 ms, no jitter
         self.retry_policy = retry_policy or RetryPolicy(max_retries=4, base_delay=0.05)
-        #: optional circuit breaker shared with other archive writers
-        self.breaker = breaker
         self.stats = LoaderStats()
         #: wall-clock time of the last checkpoint commit (for lag gauges)
         self.last_checkpoint_time: Optional[float] = None
@@ -434,7 +431,6 @@ class StampedeLoader:
             lambda: self._flush_once(ops, resolved, still_deferred),
             retry_on=self.archive.db.TRANSIENT_ERRORS,
             on_retry=record_retry,
-            breaker=self.breaker,
         )
         self._pending = []
         self._pending_since = None
@@ -575,13 +571,13 @@ class StampedeLoader:
         self.stats.flushes = int(counters.get("flushes", 0))
 
     def resume(self) -> int:
-        """Restore state from the checkpoint; returns the source position.
+        """Restore state from the checkpoint; returns the source position
+        every driver starts from.
 
-        Returns 0 (a no-op) when no checkpoint row exists yet.
+        Returns 0 (a no-op) without a checkpoint manager or before its
+        first row.
         """
-        if self.checkpoint is None:
-            raise LoaderError("loader has no checkpoint manager configured")
-        ckpt = self.checkpoint.load()
+        ckpt = self.checkpoint.load() if self.checkpoint is not None else None
         if ckpt is None:
             return 0
         self.restore_state(ckpt.state)

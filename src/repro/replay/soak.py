@@ -404,7 +404,6 @@ def run_soak(
                     poll_timeout=poll_timeout,
                     dead_letter=True,
                     metrics=metrics,
-                    resume=True,
                 )
                 report.resumed = True
                 loaders.append(loader2)

@@ -243,14 +243,6 @@ class TestShardedLoader:
         assert shard_set.federated().query(WorkflowRow).count() == 1
         shard_set.close()
 
-    def test_resume_without_checkpoint_source_refuses(self):
-        shard_set = ShardSet.create(None, 2)
-        sharded = ShardedLoader(shard_set)
-        with pytest.raises(ShardError, match="checkpoint_source"):
-            sharded.resume()
-        sharded.close()
-        shard_set.close()
-
     def test_kill_resume_matches_uninterrupted_run(self, tmp_path):
         """Kill the sharded loader mid-run (unflushed per-shard batches
         lost, as in kill -9), resume, and compare the federated archive
@@ -291,7 +283,7 @@ class TestShardedLoader:
         floor = resumed.resume()
         assert floor == min(resumed.floors)
         assert floor > 0
-        load_file(path, resumed, resume=True)
+        load_file(path, resumed)
         resumed.close()
 
         assert diff_canonical(expected, canonical_dump(shard_set.federated())) == []
@@ -311,8 +303,6 @@ class TestShardedLoader:
         assert diff_canonical(
             canonical_dump(single), canonical_dump(shard_set.federated())
         ) == []
-        with pytest.raises(ShardError, match="checkpoint_source"):
-            load_file(path, ShardedLoader(shard_set), resume=True)
         single.close()
         shard_set.close()
 

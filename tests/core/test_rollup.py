@@ -216,7 +216,7 @@ class TestKillResume:
 
         resumed = make_loader(crash_db, batch_size=6, checkpoint_source=path)
         resumed.resume()
-        load_file(path, resumed, resume=True)
+        load_file(path, resumed)
         assert verify_rollups(resumed.archive) == []
         assert _rollup_dump(resumed.archive) == expected
 

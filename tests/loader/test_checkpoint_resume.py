@@ -13,6 +13,7 @@ from contextlib import closing
 import pytest
 
 from repro.archive.merge import canonical_dump, diff_canonical
+from repro.archive.shard import ShardedLoader, ShardSet
 from repro.archive.store import StampedeArchive
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
@@ -20,7 +21,7 @@ from repro.core.rollup import verify_rollups
 from repro.loader import load_file, load_from_bus, make_loader
 from repro.loader.checkpoint import CheckpointManager
 from repro.loader.monitord import Monitord
-from repro.loader.stampede_loader import LoaderError, StampedeLoader
+from repro.loader.stampede_loader import StampedeLoader
 from repro.model.entities import (
     HostRow,
     InvocationRow,
@@ -85,10 +86,30 @@ class TestCheckpointManager:
         b.save(20, {})
         assert a.load().position == 10
 
-    def test_resume_without_manager_raises(self):
-        loader = make_loader()
-        with pytest.raises(LoaderError):
-            loader.resume()
+
+class TestResumeContract:
+    @pytest.mark.parametrize("sink", ["StampedeLoader", "ShardedLoader"])
+    def test_resume_without_a_checkpoint_starts_at_zero(self, tmp_path, sink):
+        """Every driver starts where ``resume()`` says, so a sink without
+        a checkpoint answers 0 instead of refusing, and an uncheckpointed
+        Monitord follows its file from the first byte."""
+        if sink == "ShardedLoader":
+            shard_set = ShardSet.create(None, 2)
+            assert ShardedLoader(shard_set).resume() == 0
+            shard_set.close()
+        else:
+            assert make_loader().resume() == 0
+
+        path = tmp_path / "run.bp"
+        write_events(str(path), diamond_events())
+        follower = make_loader()
+        with Monitord(str(path), follower, poll_interval=0.005) as monitord:
+            pass  # context exit stops after the terminal state lands
+        assert monitord.events_loaded == len(diamond_events())
+        assert follower.stats.resumes == 0
+        assert dump_archive(follower.archive) == dump_archive(
+            load_file(str(path)).archive
+        )
 
 
 class TestFileKillAndResume:
@@ -124,7 +145,7 @@ class TestFileKillAndResume:
         start = resumed.resume()
         assert start == committed.position
         assert resumed.stats.resumes == 1
-        load_file(path, resumed, resume=True)
+        load_file(path, resumed)
 
         assert dump_archive(resumed.archive) == expected
         assert resumed.stats.events_processed == len(events)
@@ -139,7 +160,7 @@ class TestFileKillAndResume:
         loader.archive.close()
 
         again = make_loader(db, checkpoint_source=path)
-        load_file(path, again, resume=True)
+        load_file(path, again)
         assert dump_archive(again.archive) == expected
         # counters restored from checkpoint; nothing re-processed
         assert again.stats.events_processed == events_loaded
@@ -149,7 +170,7 @@ class TestFileKillAndResume:
         loader = make_loader(
             f"sqlite:///{tmp_path/'fresh.db'}", checkpoint_source=path
         )
-        load_file(path, loader, resume=True)
+        load_file(path, loader)
         assert loader.archive.count(InvocationRow) == 5
         assert loader.stats.resumes == 0  # nothing to resume from
 
@@ -160,7 +181,8 @@ class TestFileKillAndResume:
         db = tmp_path / "cli.db"
         conn = f"connString=sqlite:///{db}"
         assert main([path, "stampede_loader", conn, "--checkpoint"]) == 0
-        assert main([path, "stampede_loader", conn, "--resume", "-v"]) == 0
+        # the second run continues where the checkpoint says: nothing left
+        assert main([path, "stampede_loader", conn, "--checkpoint", "-v"]) == 0
         out = capsys.readouterr().out
         assert "checkpoints" in out
         archive = StampedeArchive.open(f"sqlite:///{db}")
@@ -216,14 +238,9 @@ class TestMonitordResume:
         loader.archive.close()
 
         loader2 = make_loader(db, batch_size=5, checkpoint_source=str(path))
-        with Monitord(str(path), loader2, resume=True):
+        with Monitord(str(path), loader2):
             pass  # context exit stops after the terminal state lands
         assert dump_archive(loader2.archive) == expected
-
-    def test_monitord_resume_requires_checkpoint(self, tmp_path):
-        loader = make_loader()
-        with pytest.raises(ValueError):
-            Monitord(str(tmp_path / "x.bp"), loader, resume=True)
 
 
 class TestBusKillAndResume:
@@ -279,7 +296,7 @@ class TestBusKillAndResume:
         )
         load_from_bus(
             broker, queue_name="stampede", loader=loader2, durable=True,
-            poll_timeout=0.01, resume=True,
+            poll_timeout=0.01,
         )
         assert dump_archive(archive2) == expected
         assert loader2.stats.events_processed == len(events)
@@ -418,7 +435,7 @@ class TestArchiveIsTheLoaderState:
         loader.archive.close()
 
         resumed = make_loader(db, batch_size=7, checkpoint_source=str(path))
-        load_file(str(path), resumed, resume=True)
+        load_file(str(path), resumed)
         assert diff_canonical(
             canonical_dump(clean.archive), canonical_dump(resumed.archive)
         ) == []

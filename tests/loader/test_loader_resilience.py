@@ -13,7 +13,7 @@ from repro.archive import ALL_TABLES
 from repro.archive.merge import canonical_dump, diff_canonical
 from repro.archive.store import StampedeArchive
 from repro.bus.broker import DEAD_LETTER_QUEUE, Broker
-from repro.bus.client import EventPublisher
+from repro.bus.client import EventConsumer, EventPublisher
 from repro.core.rollup import verify_rollups
 from repro.faults import FaultPlan
 from repro.loader import (
@@ -267,6 +267,116 @@ class TestDegradedMode:
         assert loader.stats.spill_drains == 1
         want = canonical_dump(load_events(events).archive)
         assert diff_canonical(want, canonical_dump(loader.archive)) == []
+
+    def test_poison_during_an_outage_is_dead_lettered_by_the_drain(self, tmp_path):
+        """A poison payload that arrives while the archive is down is
+        spilled unparsed; the drain puts it through the same failure rule
+        as a live delivery, so it lands in the DLQ, not in an exception."""
+        loader, _ = self.chaos_loader([1, 2, 3])
+        spill_path = tmp_path / "spill.bp"
+        broker = bound_broker()
+        publish_diamond(broker, poison_at=(30,))
+        load_from_bus(
+            broker, queue_name=QUEUE, durable=True, loader=loader,
+            spill=str(spill_path), dead_letter=True,
+        )
+        assert loader.stats.archive_outages == 1
+        assert loader.stats.dlq_events == 1
+        assert dump_archive(loader.archive) == baseline_dump()
+        assert not os.path.exists(spill_path)
+
+    def test_reconnect_while_degraded_stays_degraded(self, tmp_path, monkeypatch):
+        """A connection drop during an outage must not push the stuck batch
+        through the retry ladder again: the source stays degraded and
+        recovers on the probe deadline."""
+        loader, _ = self.chaos_loader(range(1, 8))
+        broker = bound_broker()
+        publish_diamond(broker)
+        get_message = EventConsumer.get_message
+        dropped = []
+
+        def drop_once(consumer, *args, **kwargs):
+            if loader.stats.archive_outages and not dropped:
+                dropped.append(True)
+                consumer._consumer.disconnect()
+            return get_message(consumer, *args, **kwargs)
+
+        monkeypatch.setattr(EventConsumer, "get_message", drop_once)
+        load_from_bus(
+            broker, queue_name=QUEUE, durable=True, loader=loader,
+            spill=str(tmp_path / "spill.bp"), poll_timeout=0.05,
+        )
+        assert loader.stats.reconnects == 1
+        assert dump_archive(loader.archive) == baseline_dump()
+        assert len(broker.queue(QUEUE)) == 0  # every redelivery settled
+
+    def test_redeliveries_of_the_stuck_batch_wait_for_its_commit(
+        self, tmp_path, monkeypatch
+    ):
+        """The archive never comes back: every delivery must still be in
+        the spill or back on the queue — the redelivered copies of the
+        stuck batch are not acked before that batch commits."""
+        loader, _ = self.chaos_loader(range(1, 10_000))
+        broker = bound_broker()
+        publish_diamond(broker)
+        get_message = EventConsumer.get_message
+
+        def drop_once(consumer, *args, **kwargs):
+            if loader.stats.archive_outages and not loader.stats.reconnects:
+                consumer._consumer.disconnect()
+            return get_message(consumer, *args, **kwargs)
+
+        monkeypatch.setattr(EventConsumer, "get_message", drop_once)
+        spill_path = tmp_path / "spill.bp"
+        with pytest.raises(sqlite3.OperationalError):
+            load_from_bus(
+                broker, queue_name=QUEUE, durable=True, loader=loader,
+                spill=str(spill_path), poll_timeout=0.05,
+            )
+        assert loader.stats.reconnects == 1
+        assert loader.stats.duplicates_skipped > 0
+        held = len(broker.queue(QUEUE)) + len(SpillBuffer(spill_path))
+        assert held == len(diamond_events())
+
+    def test_a_drain_cut_short_continues_where_it_stopped(self, tmp_path):
+        """The drain's first commit fails past the retry ladder: the next
+        probe commits what the loader already took and replays only the
+        rest of the spill, so no spilled event is handed over twice."""
+        # 1-3: the first flush degrades; 4: the stuck batch commits on the
+        # first probe; 5-7: the drain's first full batch fails
+        loader, plan = self.chaos_loader([1, 2, 3, 5, 6, 7], batch_size=5)
+        spill_path = tmp_path / "spill.bp"
+        broker = bound_broker()
+        publish_diamond(broker)
+        load_from_bus(
+            broker, queue_name=QUEUE, durable=True, loader=loader,
+            spill=str(spill_path), poll_timeout=0.05,
+        )
+        assert plan.stats.archive_faults == 6
+        assert loader.stats.archive_outages == 1
+        assert loader.stats.spill_drains == 1
+        assert dump_archive(loader.archive) == baseline_dump()
+        assert not os.path.exists(spill_path)
+
+    def test_a_spill_left_by_an_earlier_process_drains_first(self, tmp_path):
+        """A loader that died degraded leaves acked events only in its
+        spill file; the next loader on that file archives them before
+        anything it consumes."""
+        events = diamond_events()
+        spill = SpillBuffer(tmp_path / "spill.bp")
+        for event in events[:30]:
+            spill.append(event.to_bp())
+        broker = bound_broker()
+        publisher = EventPublisher(broker)
+        for event in events[30:]:
+            publisher.publish(event)
+        loader = load_from_bus(
+            broker, queue_name=QUEUE, durable=True, spill=spill, dead_letter=True
+        )
+        assert loader.stats.spill_drains == 1
+        assert loader.stats.dlq_events == 0
+        assert dump_archive(loader.archive) == baseline_dump()
+        assert not spill
 
     def test_outage_without_spill_is_fatal(self):
         loader, _ = self.chaos_loader([1, 2, 3])

@@ -194,7 +194,6 @@ class TestResequencerFloorCheckpoint:
             queue_name="q",
             durable=True,
             loader=loader2,
-            resume=True,
             until=lambda _ld: len(broker.queue("q")) == 0,
             poll_timeout=0.01,
         )
