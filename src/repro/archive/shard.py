@@ -34,8 +34,8 @@ This module provides:
 :func:`open_archive`
     The reader's entry point: a connection string, a plain sqlite path,
     a shard directory, or a glob of sqlite files — single archives come
-    back as-is, shard sets come back federated (including the long-term
-    tier when present) so CLIs are shard-oblivious.
+    back as-is, shard sets come back federated (their long-term tier
+    last) so CLIs are shard-oblivious.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.archive.federate import FederatedArchive
 from repro.archive.store import StampedeArchive
+from repro.archive.tier import open_tier
 from repro.bus.groups import PartitionKeyer, partition_for
 from repro.loader.checkpoint import CheckpointManager
 from repro.loader.stampede_loader import StampedeLoader
@@ -119,7 +120,8 @@ def partition_events(
 
 
 class ShardSet:
-    """N archives plus the manifest that pins their count.
+    """N archives plus the manifest that pins their count, and the
+    long-term tier (:mod:`repro.archive.tier`) finished workflows move to.
 
     ``directory=None`` builds an anonymous set over in-memory sqlite
     databases (no files, no manifest) for benchmarks and tests.
@@ -134,6 +136,12 @@ class ShardSet:
         self.directory = directory
         self.shards = shards
         self.archives = archives
+        try:
+            self.longterm = open_tier(self.longterm_dir())
+        except BaseException:
+            for archive in archives:
+                archive.close()
+            raise
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -215,21 +223,15 @@ class ShardSet:
     def longterm_dir(self) -> Optional[Path]:
         return self.directory / "longterm" if self.directory else None
 
-    def federated(self, include_longterm: bool = True) -> FederatedArchive:
-        """All shards (plus the long-term tier, when present) as one
-        read-only archive."""
-        sources: List[StampedeArchive] = list(self.archives)
-        lt = self.longterm_dir()
-        if include_longterm and lt is not None and lt.is_dir():
-            from repro.archive.tier import LongTermStore
+    def federated(self) -> FederatedArchive:
+        """All shards, then the long-term tier, as one read-only archive.
 
-            store = LongTermStore(lt)
-            if store.segments():
-                sources.append(store.open_archive())
-        return FederatedArchive(sources)
+        The tier is always the last source, so global ids stay put when
+        a tiering pass first moves workflows into it."""
+        return FederatedArchive([*self.archives, self.longterm])
 
     def close(self) -> None:
-        for archive in self.archives:
+        for archive in [*self.archives, self.longterm]:
             archive.close()
 
 
@@ -399,7 +401,7 @@ def open_archive(
     ``sqlite:///PATH``            single :class:`StampedeArchive`
     ``PATH.db`` (plain file)      single :class:`StampedeArchive`
     directory with shards.json    :class:`FederatedArchive` over the set
-                                  (including the long-term tier)
+                                  (its long-term tier last)
     glob (``shards/*.db``)        :class:`FederatedArchive` over matches
                                   (sorted, so global ids are stable)
     ============================  ========================================

@@ -1,55 +1,44 @@
-"""Tiering: move finished root workflows into an append-only long-term store.
+"""Tiering: move finished root workflows into the long-term archive.
 
 WMArchive's shape (PAPERS.md): the hot store takes the write load, and a
 compacting migration periodically moves *finished* workflows into a
-long-term format that queries still reach.  Here the hot store is a
-shard set (``repro.archive.shard``) and the long-term tier is a
-directory of append-only JSONL segments::
+long-term store that queries still reach.  Here the hot store is a
+shard set (``repro.archive.shard``) and the long-term tier is one more
+sqlite archive beside its shards, with the same schema::
 
-    <shard-dir>/longterm/segment-000001.jsonl
+    <shard-dir>/longterm/longterm.db
 
-One line per tiered **root workflow**: the full row set of its
-hierarchy, keyed by the shard-local surrogate ids the rows had when
-archived.  Record-local ids are enough — every foreign key of a
-hierarchy resolves inside its own record (that is exactly what routing
-by root id guarantees) — so appends need no global sequence and the
-segment files never rewrite.  Ids are remapped at *read* time:
-:meth:`LongTermStore.open_archive` materializes the segments into an
-in-process archive with fresh surrogate ids and derives its rollups,
-and that archive participates in the federated query layer as one more
-source.
+The shard set opens it with its shards, and :meth:`ShardSet.federated`
+serves it as its last source, so a reader opens it like any shard: no
+replay, no derivation, and an open reader sees every later tiering pass.
+The tier holds each hierarchy's base rows *and* its rollup rows, so a
+tiered root is served, cached and verified like a hot one.
 
-Durability contract of :func:`tier_finished`: the segment is written
-and flushed *before* the hot-shard rows are deleted (delete runs as one
-shard transaction).  A crash in between leaves the workflow present in
-both tiers — visible to ``diff_canonical`` as duplicate rows, never as
-lost rows.  Telemetry (``obs_event``) is not tiered: it is per-loader
-self-monitoring, not workflow history.
+:func:`tier_finished` copies each finished hierarchy into the tier with
+fresh surrogate ids (every foreign key of a hierarchy resolves inside
+it — that is what routing by root id guarantees — so a two-pass remap
+suffices), commits, and only then deletes it from its hot shard.  A
+crash between the two leaves the hierarchy in both; the next pass finds
+its root already in the tier and finishes the move by deleting the hot
+copy, so nothing is lost and nothing is duplicated.  Telemetry
+(``obs_event``) is not tiered: it is per-loader self-monitoring, not
+workflow history.
 """
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.archive import ddl
 from repro.archive.store import _ENTITY_TABLE, StampedeArchive, _to_row
-from repro.model.entities import (
-    HostRow,
-    InvocationRow,
-    JobInstanceRow,
-    JobRow,
-    JobStateRow,
-    WorkflowRow,
-    WorkflowStateRow,
-)
+from repro.model.entities import WorkflowRow, WorkflowStateRow
 from repro.model.states import WorkflowState
 
-__all__ = ["LongTermStore", "TierError", "TieringReport", "tier_finished"]
+__all__ = ["TIER_FILE", "TierError", "TieringReport", "open_tier", "tier_finished"]
 
-SEGMENT_FORMAT = "segment-{:06d}.jsonl"
+#: the tier's file inside ``<shard-dir>/longterm/``
+TIER_FILE = "longterm.db"
 
 #: insertion order respecting foreign-key references (parents first);
 #: reversed, it is the safe delete order
@@ -65,6 +54,12 @@ _TABLE_ORDER = [
     "jobstate",
     "invocation",
 ]
+
+#: the rollup tables a hierarchy takes with it, all keyed by ``wf_id``
+_ROLLUP_ORDER = ["rollup_workflow", "rollup_type", "rollup_host", "rollup_host_bucket"]
+
+#: tables not keyed by ``wf_id``: the column that ties them to the tree
+_PARENT_KEY = {"job_instance": "job_id", "jobstate": "job_instance_id"}
 
 #: surrogate-key columns -> the table whose primary key they reference
 _ID_REFS = {
@@ -86,7 +81,8 @@ _IN_CHUNK = 500
 
 
 class TierError(RuntimeError):
-    """A long-term record that cannot be materialized or migrated."""
+    """A long-term tier that cannot be opened, or a hierarchy that cannot
+    be moved into it."""
 
 
 def _chunks(values: Sequence[Any], size: int = _IN_CHUNK) -> Iterator[Sequence[Any]]:
@@ -94,103 +90,72 @@ def _chunks(values: Sequence[Any], size: int = _IN_CHUNK) -> Iterator[Sequence[A
         yield values[start : start + size]
 
 
-class LongTermStore:
-    """Append-only JSONL segment directory for finished workflows."""
+def open_tier(directory: Optional[Path]) -> StampedeArchive:
+    """The long-term tier in ``directory`` (``<shard-dir>/longterm``),
+    created empty on first open; in memory for an anonymous shard set.
 
-    def __init__(self, directory: Union[str, Path]):
-        self.directory = Path(directory)
+    A directory still holding the JSONL segments of an older build is
+    refused: serving the set without them would silently drop their
+    history.
+    """
+    if directory is None:
+        return StampedeArchive()
+    segments = sorted(p.name for p in directory.glob("segment-*.jsonl"))
+    if segments:
+        raise TierError(
+            f"{directory} holds a JSONL long-term tier "
+            f"({', '.join(segments)}) that this build does not read; it "
+            f"serves the tier from {TIER_FILE} only"
+        )
+    directory.mkdir(parents=True, exist_ok=True)
+    return StampedeArchive.open(f"sqlite:///{directory / TIER_FILE}")
 
-    def segments(self) -> List[Path]:
-        if not self.directory.is_dir():
-            return []
-        return sorted(self.directory.glob("segment-*.jsonl"))
 
-    def append_segment(self, records: Sequence[Dict[str, Any]]) -> Optional[Path]:
-        """Write one new segment holding ``records``; fsync before return."""
-        if not records:
-            return None
-        self.directory.mkdir(parents=True, exist_ok=True)
-        existing = self.segments()
-        index = 1
-        if existing:
-            index = int(existing[-1].stem.split("-")[1]) + 1
-        path = self.directory / SEGMENT_FORMAT.format(index)
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        return path
+def _materialize(
+    tier: StampedeArchive,
+    root_uuid: str,
+    tables: Dict[str, List[Dict[str, Any]]],
+    seq: int,
+) -> List[Any]:
+    """One hierarchy's rows as entities with ids fresh in ``tier``.
 
-    def records(self) -> Iterator[Dict[str, Any]]:
-        for segment in self.segments():
-            with open(segment, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line)
-
-    def count(self) -> int:
-        return sum(1 for _ in self.records())
-
-    def root_uuids(self) -> List[str]:
-        return [record["root_wf_uuid"] for record in self.records()]
-
-    def open_archive(self) -> StampedeArchive:
-        """Materialize every segment into a fresh in-process archive.
-
-        Each record's local ids are remapped onto the new archive's
-        sequences (two passes: allocate every primary key, then rewrite
-        the foreign keys) so records from different shards and different
-        tiering passes cannot collide.  Segments hold base rows only; the
-        archive's rollups are derived here, so the tier is served, cached
-        and verified like a hot shard.  The derivation sets the tier's
-        commit sequence (to 1) but no ``last_commit_ts``: a federated lag
-        gauge keeps reading the loaders' commits.
-        """
-        from repro.core.rollup import rebuild_rollups
-
-        archive = StampedeArchive()
-        for record in self.records():
-            self._materialize(archive, record)
-        rebuild_rollups(archive)
-        return archive
-
-    @staticmethod
-    def _materialize(archive: StampedeArchive, record: Dict[str, Any]) -> None:
-        tables: Dict[str, List[Dict[str, Any]]] = record.get("tables", {})
-        id_maps: Dict[str, Dict[int, int]] = {}
-        # pass 1: fresh primary keys for every row in the record
-        for table_name in _TABLE_ORDER:
-            table = ddl.TABLES[table_name]
-            pk = table.primary_key
-            if pk is None:
-                continue
-            mapping = id_maps.setdefault(table_name, {})
-            for row in tables.get(table_name, ()):
-                old = row.get(pk.name)
-                if old is not None:
-                    mapping[old] = archive.next_id(table_name)
-        # pass 2+3: rewrite ids and insert, parents first
-        entities: List[Any] = []
-        for table_name in _TABLE_ORDER:
-            etype = _ENTITY_BY_TABLE[table_name]
-            for row in tables.get(table_name, ()):
-                rewritten = dict(row)
-                for column, value in row.items():
-                    ref = _ID_REFS.get(column)
-                    if ref is None or value is None:
-                        continue
-                    try:
-                        rewritten[column] = id_maps[ref][value]
-                    except KeyError:
-                        raise TierError(
-                            f"record {record.get('root_wf_uuid')!r}: "
-                            f"{table_name}.{column}={value} references a "
-                            f"{ref} row missing from the record"
-                        ) from None
-                entities.append(etype(**rewritten))
-        archive.insert_many(entities)
+    Two passes: allocate a primary key for every base row, then rewrite
+    every id column.  Rollup rows take their workflow's new id in pass 2
+    only, and ``updated_seq`` becomes the tier commit ``seq`` that wrote
+    them.
+    """
+    id_maps: Dict[str, Dict[int, int]] = {}
+    # pass 1: fresh primary keys for every base row
+    for table_name in _TABLE_ORDER:
+        pk = ddl.TABLES[table_name].primary_key
+        if pk is None:
+            continue
+        mapping = id_maps.setdefault(table_name, {})
+        for row in tables[table_name]:
+            old = row.get(pk.name)
+            if old is not None:
+                mapping[old] = tier.next_id(table_name)
+    # pass 2: rewrite ids, parents first, rollups last
+    entities: List[Any] = []
+    for table_name in [*_TABLE_ORDER, *_ROLLUP_ORDER]:
+        etype = _ENTITY_BY_TABLE[table_name]
+        for row in tables[table_name]:
+            rewritten = dict(row)
+            for column, value in row.items():
+                ref = _ID_REFS.get(column)
+                if ref is None or value is None:
+                    continue
+                try:
+                    rewritten[column] = id_maps[ref][value]
+                except KeyError:
+                    raise TierError(
+                        f"root {root_uuid!r}: {table_name}.{column}={value} "
+                        f"references a {ref} row outside its hierarchy"
+                    ) from None
+            if table_name == "rollup_workflow":
+                rewritten["updated_seq"] = seq
+            entities.append(etype(**rewritten))
+    return entities
 
 
 @dataclass
@@ -203,7 +168,6 @@ class TieringReport:
     rows_moved: int = 0
     rows_by_table: Dict[str, int] = field(default_factory=dict)
     tiered_uuids: List[str] = field(default_factory=list)
-    segments: List[str] = field(default_factory=list)
 
 
 def _descendant_ids(archive: StampedeArchive, root_wf_id: int) -> List[int]:
@@ -241,7 +205,7 @@ def _is_finished(archive: StampedeArchive, wf_ids: Sequence[int]) -> bool:
     return True
 
 
-def _in_query(archive: StampedeArchive, etype: type, column: str, ids: Sequence[int]):
+def _in_query(archive: StampedeArchive, etype: type, column: str, ids: Sequence[Any]):
     rows: List[Any] = []
     for chunk in _chunks(list(ids)):
         rows.extend(
@@ -253,33 +217,22 @@ def _in_query(archive: StampedeArchive, etype: type, column: str, ids: Sequence[
 def _collect_tree(
     archive: StampedeArchive, wf_ids: Sequence[int]
 ) -> Dict[str, List[Dict[str, Any]]]:
-    workflows = _in_query(archive, WorkflowRow, "wf_id", wf_ids)
-    jobs = _in_query(archive, JobRow, "wf_id", wf_ids)
-    job_ids = [j.job_id for j in jobs]
-    instances = _in_query(archive, JobInstanceRow, "job_id", job_ids)
-    ji_ids = [ji.job_instance_id for ji in instances]
-    tables: Dict[str, List[Any]] = {
-        "workflow": workflows,
-        "host": _in_query(archive, HostRow, "wf_id", wf_ids),
-        "job": jobs,
-        "task": _in_query(archive, _ENTITY_BY_TABLE["task"], "wf_id", wf_ids),
-        "task_edge": _in_query(
-            archive, _ENTITY_BY_TABLE["task_edge"], "wf_id", wf_ids
-        ),
-        "job_edge": _in_query(
-            archive, _ENTITY_BY_TABLE["job_edge"], "wf_id", wf_ids
-        ),
-        "workflowstate": _in_query(
-            archive, WorkflowStateRow, "wf_id", wf_ids
-        ),
-        "job_instance": instances,
-        "jobstate": _in_query(archive, JobStateRow, "job_instance_id", ji_ids),
-        "invocation": _in_query(archive, InvocationRow, "wf_id", wf_ids),
+    """A hierarchy's base and rollup rows, by table."""
+
+    def rows(table_name: str, column: str, ids: Sequence[Any]):
+        etype = _ENTITY_BY_TABLE[table_name]
+        return [_to_row(e) for e in _in_query(archive, etype, column, ids)]
+
+    tables = {
+        name: rows(name, "wf_id", wf_ids)
+        for name in [*_TABLE_ORDER, *_ROLLUP_ORDER]
+        if name not in _PARENT_KEY
     }
-    return {
-        name: [_to_row(entity) for entity in rows]
-        for name, rows in tables.items()
-    }
+    job_ids = [r["job_id"] for r in tables["job"]]
+    tables["job_instance"] = rows("job_instance", "job_id", job_ids)
+    ji_ids = [r["job_instance_id"] for r in tables["job_instance"]]
+    tables["jobstate"] = rows("jobstate", "job_instance_id", ji_ids)
+    return tables
 
 
 def _delete_tree(
@@ -289,18 +242,12 @@ def _delete_tree(
     """Remove one hierarchy's rows, children first, in one transaction."""
     from repro.core.rollup import drop_rollups
 
-    deleted = 0
     with archive.transaction():
         # the hierarchy's materialized rollups leave with it (and the
         # rollup commit sequence bumps, so read caches notice)
-        wf_ids = [
-            r["wf_id"]
-            for r in tables.get("workflow", [])
-            if r.get("wf_id") is not None
-        ]
-        drop_rollups(archive, wf_ids)
+        deleted = drop_rollups(archive, [r["wf_id"] for r in tables["workflow"]])
         for table_name in reversed(_TABLE_ORDER):
-            rows = tables.get(table_name, [])
+            rows = tables[table_name]
             if not rows:
                 continue
             table = ddl.TABLES[table_name]
@@ -312,13 +259,8 @@ def _delete_tree(
                         _ENTITY_BY_TABLE[table_name], {pk.name: list(chunk)}
                     )
             else:
-                # pk-less state/edge tables hang off wf_id or
-                # job_instance_id; delete by the parent key set
-                key = (
-                    "job_instance_id"
-                    if table_name == "jobstate"
-                    else "wf_id"
-                )
+                # pk-less state/edge tables: delete by the parent key set
+                key = _PARENT_KEY.get(table_name, "wf_id")
                 ids = sorted({r[key] for r in rows})
                 for chunk in _chunks(ids):
                     deleted += archive.delete(
@@ -327,61 +269,70 @@ def _delete_tree(
     return deleted
 
 
-def tier_finished(
-    archives: Union[Iterable[StampedeArchive], Any],
-    store: Optional[LongTermStore] = None,
-) -> TieringReport:
-    """Move every finished root hierarchy out of the hot archives.
+def _held_roots(tier: StampedeArchive, uuids: Sequence[str]) -> Dict[str, int]:
+    """Root uuid -> tier ``wf_id`` for the roots the tier already holds."""
+    return {
+        w.wf_uuid: w.wf_id
+        for w in _in_query(tier, WorkflowRow, "wf_uuid", uuids)
+        if w.parent_wf_id is None
+    }
 
-    ``archives`` is a list of archives or a ``ShardSet`` (in which case
-    ``store`` defaults to the set's ``longterm/`` directory).  Per
-    archive: find root workflows (``parent_wf_id IS NULL``) whose whole
-    tree has terminated, write them as one durable segment, then delete
-    their rows in one shard transaction each.
+
+def tier_finished(shard_set: Any) -> TieringReport:
+    """Move every finished root hierarchy out of a shard set's hot shards.
+
+    Finds the root workflows (``parent_wf_id IS NULL``) whose whole tree
+    has terminated, copies their base and rollup rows into the set's
+    long-term tier in one transaction that bumps the tier's commit
+    sequence, then deletes each tree from its hot shard in one shard
+    transaction.  A root the tier already holds is the remainder of an
+    interrupted pass: it is not copied again, only deleted.  One the tier
+    holds with other row counts raises :class:`TierError` before anything
+    moves.
     """
-    shard_set = None
-    if hasattr(archives, "archives"):  # a ShardSet
-        shard_set = archives
-        archives = shard_set.archives
-    if store is None:
-        if shard_set is None or shard_set.longterm_dir() is None:
-            raise TierError(
-                "tier_finished needs a LongTermStore (or a directory-backed "
-                "ShardSet to derive one from)"
-            )
-        store = LongTermStore(shard_set.longterm_dir())
+    from repro.core.rollup import bump_commit_seq
 
+    tier: StampedeArchive = shard_set.longterm
     report = TieringReport()
-    for archive in archives:
+    moves: List[Tuple[StampedeArchive, str, Dict[str, List[Dict[str, Any]]]]] = []
+    for archive in shard_set.archives:
         roots = [
             w
             for w in archive.query(WorkflowRow).all()
             if w.parent_wf_id is None
         ]
         report.scanned_roots += len(roots)
-        tiered: List[Dict[str, Any]] = []
-        trees: List[Dict[str, List[Dict[str, Any]]]] = []
         for root in roots:
             wf_ids = _descendant_ids(archive, root.wf_id)
             if not _is_finished(archive, wf_ids):
                 report.skipped_roots += 1
                 continue
-            tables = _collect_tree(archive, wf_ids)
-            tiered.append({"root_wf_uuid": root.wf_uuid, "tables": tables})
-            trees.append(tables)
-            report.tiered_uuids.append(root.wf_uuid)
-        if not tiered:
+            moves.append((archive, root.wf_uuid, _collect_tree(archive, wf_ids)))
+    held = _held_roots(tier, [uuid for _, uuid, _ in moves])
+    for _, uuid, tables in moves:
+        if uuid not in held:
             continue
-        # durable first, delete second: a crash in between duplicates,
-        # never loses (see module docstring)
-        segment = store.append_segment(tiered)
-        if segment is not None:
-            report.segments.append(str(segment))
-        for tables in trees:
-            for name, rows in tables.items():
-                report.rows_by_table[name] = report.rows_by_table.get(
-                    name, 0
-                ) + len(rows)
-            report.rows_moved += _delete_tree(archive, tables)
-        report.tiered_roots += len(tiered)
+        kept = _collect_tree(tier, _descendant_ids(tier, held[uuid]))
+        if any(len(kept[t]) != len(tables[t]) for t in _TABLE_ORDER):
+            raise TierError(
+                f"root {uuid!r} is in the long-term tier and, with different "
+                "rows, in a hot shard; tiering leaves both copies in place"
+            )
+    copies = [(uuid, tables) for _, uuid, tables in moves if uuid not in held]
+    if copies:
+        with tier.transaction():
+            seq = bump_commit_seq(tier)
+            tier.insert_many(
+                entity
+                for uuid, tables in copies
+                for entity in _materialize(tier, uuid, tables, seq)
+            )
+    # tier commit first, hot delete second: a crash in between leaves a
+    # root the next pass finds in the tier (see module docstring)
+    for archive, uuid, tables in moves:
+        for name, rows in tables.items():
+            report.rows_by_table[name] = report.rows_by_table.get(name, 0) + len(rows)
+        report.rows_moved += _delete_tree(archive, tables)
+        report.tiered_uuids.append(uuid)
+    report.tiered_roots = len(moves)
     return report

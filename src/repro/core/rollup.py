@@ -27,11 +27,12 @@ Therefore:
   caches invalidate on it instead of a TTL.
 
 Rollups are the archive's only read path: every archive the system
-writes carries them, and the long-term tier derives its own when it is
-opened.  A workflow without a rollup row is served by nobody — readers
-raise :class:`RollupCoverageError`, whose message names the fix,
-:func:`rebuild_rollups` (``stampede-rollup rebuild``).  A rebuild replays
-the archive's base rows through a fresh :class:`RollupMaintainer`, so
+writes carries them, and the long-term tier receives them with the
+hierarchies it takes.  A workflow without a rollup row is served by
+nobody — readers raise :class:`RollupCoverageError`, whose message names
+the fix, :func:`rebuild_rollups` (``stampede-rollup rebuild``).  A
+rebuild replays the archive's base rows through a fresh
+:class:`RollupMaintainer`, so
 every rollup row is derived by the code each loader flush runs;
 :func:`verify_rollups` checks the served statistics against the one
 independent oracle, the scan.
@@ -68,6 +69,7 @@ __all__ = [
     "UNKNOWN_HOST",
     "RollupCoverageError",
     "RollupMaintainer",
+    "bump_commit_seq",
     "commit_seq",
     "last_commit_ts",
     "rebuild_rollups",
@@ -641,6 +643,15 @@ def commit_seq(archive: Any) -> int:
     return int(sum(row.value for row in rows))
 
 
+def bump_commit_seq(archive: Any) -> int:
+    """Advance the commit sequence by one, in the caller's transaction, for
+    a change no loader flush made; returns the new value.  Stamps no
+    ``last_commit_ts``: the lag gauge reads loader commits only."""
+    seq = int(_meta_value(archive, _META_SEQ, 0.0)) + 1
+    _meta_set(archive, _META_SEQ, float(seq))
+    return seq
+
+
 def last_commit_ts(archive: Any) -> Optional[float]:
     """Wall-clock time of the newest rollup commit (None before any)."""
     rows = archive.query(RollupMetaRow).eq("key", _META_TS).all()
@@ -659,7 +670,7 @@ def drop_rollups(archive: Any, wf_ids: List[int]) -> int:
     for etype in _ROLLUP_TABLES:
         removed += archive.delete(etype, {"wf_id": list(wf_ids)})
     if removed:
-        _meta_set(archive, _META_SEQ, _meta_value(archive, _META_SEQ, 0.0) + 1)
+        bump_commit_seq(archive)
         _meta_set(archive, _META_TS, time.time())
     return removed
 
@@ -898,22 +909,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     from pathlib import Path
 
-    from repro.archive.shard import ShardSet, open_archive
+    from repro.archive.shard import open_archive
 
-    if Path(args.connString).is_dir():
-        # the shard files, then the long-term tier as federated() opens
-        # it: materialized in memory, its rollups derived on the way
-        shard_set = ShardSet.open(args.connString)
-        archives = shard_set.federated().sources
-        written = shard_set.archives
-    else:
-        target = open_archive(args.connString)
-        archives = written = getattr(target, "sources", [target])
+    target = open_archive(args.connString)
+    archives = getattr(target, "sources", [target])
+    # a shard directory's last source is its long-term tier
+    tier = len(archives) - 1 if Path(args.connString).is_dir() else None
     if args.command == "rebuild":
-        total = sum(rebuild_rollups(archive) for archive in written)
+        total = sum(rebuild_rollups(archive) for archive in archives)
         print(f"rebuilt rollups for {total} workflow(s)")
-        if len(archives) > len(written):
-            print("the long-term tier's rollups are derived when it is opened")
         return 0
     if args.command == "verify":
         failures = 0
@@ -933,7 +937,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         lag = time.time() - ts if ts is not None else None
         covered = archive.count(RollupWorkflowRow)
         workflows = archive.count(WorkflowRow)
-        name = f"source {index}" if index < len(written) else "long-term tier"
+        name = "long-term tier" if index == tier else f"source {index}"
         print(
             f"{name}: commit_seq={seq} "
             f"coverage={covered}/{workflows} workflows "

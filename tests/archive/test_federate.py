@@ -12,19 +12,21 @@ import dataclasses
 
 import pytest
 
+from repro.archive import tier as tier_module
 from repro.archive.federate import FederationError
 from repro.archive.merge import canonical_dump, diff_canonical
-from repro.archive.shard import ShardSet, ShardedLoader
+from repro.archive.shard import ShardSet, ShardedLoader, open_archive
 from repro.archive.store import StampedeArchive
-from repro.archive.tier import LongTermStore, tier_finished
+from repro.archive.tier import TIER_FILE, TierError, tier_finished
 from repro.core.dashboard import DashboardData
+from repro.core.rollup import verify_rollups
 from repro.core.statistics import workflow_statistics
 from repro.model.entities import JobRow, WorkflowRow, WorkflowStateRow
 from repro.query.api import StampedeQuery
 from repro.schema.stampede import Events
 
 from tests.archive.test_shard import ROOT_UUIDS, load_single, workload_events
-from tests.helpers import STORAGE_MODES, sqlite_path
+from tests.helpers import STORAGE_MODES, diamond_events, sqlite_path
 
 
 @pytest.fixture(scope="class")
@@ -214,24 +216,124 @@ class TestTiering:
         assert after.counts == expected.counts
         assert after.breakdown == expected.breakdown
 
-    def test_tier_is_idempotent_and_appends_segments(self, shard_dir):
+    def test_tier_is_idempotent(self, shard_dir):
         shard_set, _ = shard_dir
         first = tier_finished(shard_set)
-        assert first.segments
         again = tier_finished(shard_set)
         assert again.tiered_roots == 0 and again.rows_moved == 0
-        store = LongTermStore(shard_set.longterm_dir())
-        assert store.count() == first.tiered_roots
-        assert sorted(store.root_uuids()) == sorted(first.tiered_uuids)
+        assert sorted(_tier_roots(shard_set)) == sorted(first.tiered_uuids)
 
     def test_longterm_archive_is_queryable_alone(self, shard_dir):
         shard_set, _ = shard_dir
         report = tier_finished(shard_set)
-        cold = LongTermStore(shard_set.longterm_dir()).open_archive()
+        cold = StampedeArchive.open(
+            f"sqlite:///{shard_set.longterm_dir() / TIER_FILE}"
+        )
         assert cold.query(WorkflowRow).count() >= report.tiered_roots
         states = cold.query(WorkflowStateRow).all()
         assert states, "workflow states must survive the tier round-trip"
+        assert verify_rollups(cold) == []
         cold.close()
+
+    def test_interrupted_move_is_finished_not_duplicated(
+        self, shard_dir, monkeypatch
+    ):
+        """A kill after the tier commit and before the hot delete: the
+        next pass finds the roots in the tier and only deletes."""
+        shard_set, unfinished = shard_dir
+        before = canonical_dump(shard_set.federated())
+        delete_tree = tier_module._delete_tree
+        calls = []
+
+        def killed_once(archive, tables):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError("killed between tier commit and hot delete")
+            return delete_tree(archive, tables)
+
+        monkeypatch.setattr(tier_module, "_delete_tree", killed_once)
+        with pytest.raises(OSError):
+            tier_finished(shard_set)
+        report = tier_finished(shard_set)
+        assert set(report.tiered_uuids) == set(ROOT_UUIDS) - unfinished
+
+        federated = shard_set.federated()
+        assert diff_canonical(before, canonical_dump(federated)) == []
+        assert sorted(_tier_roots(shard_set)) == sorted(
+            set(ROOT_UUIDS) - unfinished
+        )
+        for source in federated.sources:
+            assert verify_rollups(source) == []
+
+    def test_root_back_with_other_rows_is_refused(self, shard_dir):
+        """A tiered root id that comes back with different rows is neither
+        copied again nor deleted: both copies stay, loudly."""
+        shard_set, _ = shard_dir
+        tier_finished(shard_set)
+        root = ROOT_UUIDS[0]  # tiered with job b failed, no retries
+        sharded = ShardedLoader(shard_set, batch_size=50)
+        sharded.process_all(diamond_events(retries={"c": 1}, xwf=root))
+        sharded.close()
+        with pytest.raises(TierError, match=root):
+            tier_finished(shard_set)
+        assert _tier_roots(shard_set).count(root) == 1
+        hot = shard_set.archives[shard_set.shard_for(root)]
+        assert hot.query(WorkflowRow).eq("wf_uuid", root).count() == 1
+
+    def test_open_reader_keeps_every_workflow(self, shard_dir):
+        """A reader opened before a pass sees the moved workflows in the
+        tier afterwards, and the hot ones under the same global ids."""
+        shard_set, unfinished = shard_dir
+        in_process = shard_set.federated()
+        separate = open_archive(str(shard_set.directory))
+        before = canonical_dump(in_process)
+
+        def hot_ids(reader):
+            return {
+                w.wf_uuid: w.wf_id
+                for w in reader.query(WorkflowRow).all()
+                if w.wf_uuid in unfinished
+            }
+
+        ids = hot_ids(in_process)
+        assert hot_ids(separate) == ids
+        tier_finished(shard_set)
+        for reader in (in_process, separate):
+            assert diff_canonical(before, canonical_dump(reader)) == []
+            assert hot_ids(reader) == ids
+        separate.close()
+
+    def test_opening_a_tiered_dir_replays_nothing(self, shard_dir, monkeypatch):
+        shard_set, _ = shard_dir
+        report = tier_finished(shard_set)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("opening the tier must not replay it")
+
+        monkeypatch.setattr("repro.core.rollup.rebuild_rollups", refused)
+        monkeypatch.setattr(StampedeArchive, "insert_many", refused)
+        reader = open_archive(str(shard_set.directory))
+        tier = reader.sources[-1]
+        assert tier.count(WorkflowRow) >= report.tiered_roots
+        reader.close()
+
+    def test_jsonl_tier_is_refused(self, tmp_path):
+        root = tmp_path / "shards"
+        ShardSet.create(root, 2).close()
+        (root / "longterm" / "segment-000001.jsonl").write_text("{}\n")
+        with pytest.raises(TierError, match="segment-000001.jsonl"):
+            ShardSet.open(root)
+        with pytest.raises(TierError, match="segment-000001.jsonl"):
+            open_archive(str(root))
+
+
+def _tier_roots(shard_set):
+    """Root uuids in the long-term tier, one entry per stored root."""
+    return [
+        w.wf_uuid
+        for w in shard_set.longterm.query(WorkflowRow).all()
+        if w.parent_wf_id is None
+    ]
 
 
 class TestArchiveDelete:

@@ -349,17 +349,17 @@ class TestShardedAndTiered:
         # ...and the commit sequence moved, so read caches invalidate
         assert sum(commit_seq(a) for a in shard_set.archives) > before
 
-        # the long-term tier derives its rollups on open: tiered roots are
-        # served from them, with the values they had in the hot shards
+        # the tier took the hierarchies' rollup rows with them: tiered
+        # roots are served from them, with the values they had when hot
         fed = shard_set.federated()
         tier = fed.sources[-1]
         assert tier.count(RollupWorkflowRow) == len(self.ROOTS)
         assert verify_rollups(tier) == []
         for uuid, expected in hot_stats.items():
             _stats_equal(workflow_statistics(fed, wf_uuid=uuid), expected)
-        # deriving them is not a commit: the lag gauge still reads the
-        # shards' last one, and the federated sequence only moved forward
-        assert last_commit_ts(tier) is None
+        # the tier's copy bumps its sequence but is not a loader commit:
+        # the lag gauge still reads the shards' last one
+        assert commit_seq(tier) == 1 and last_commit_ts(tier) is None
         assert last_commit_ts(fed) == max(
             last_commit_ts(a) for a in shard_set.archives
         )
@@ -413,11 +413,13 @@ class TestCli:
         assert rollup_main(["status", shards]) == 0
         out = capsys.readouterr().out
         assert "rollups match the full-scan statistics" in out
-        # rebuild writes the shard files only: every workflow was tiered
-        assert "rebuilt rollups for 0 workflow(s)" in out
-        assert "the long-term tier's rollups are derived when it is opened" in out
+        # every workflow was tiered: the rebuild re-derives the tier's
+        # rollups, like any shard's
+        assert f"rebuilt rollups for {len(roots)} workflow(s)" in out
+        # one commit from the tiering pass, one from the rebuild; neither
+        # stamps a commit time
         assert (
-            f"long-term tier: commit_seq=1 coverage={len(roots)}/{len(roots)} "
+            f"long-term tier: commit_seq=2 coverage={len(roots)}/{len(roots)} "
             "workflows lag=n/a"
         ) in out
 
