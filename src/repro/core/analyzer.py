@@ -60,7 +60,6 @@ def analyze(
     archive_or_query,
     wf_id: Optional[int] = None,
     wf_uuid: Optional[str] = None,
-    recurse: bool = True,
     recurse_into_successful: bool = False,
 ) -> WorkflowAnalysis:
     """Analyze one workflow; drill down into failed sub-workflows.
@@ -69,28 +68,9 @@ def analyze(
     mirrors the paper's tool, which "first identifies for users the failures
     at the top level workflow and then allows them to drill down".
     """
-    query = (
-        archive_or_query
-        if isinstance(archive_or_query, StampedeQuery)
-        else StampedeQuery(archive_or_query)
-    )
-    if wf_id is None:
-        if wf_uuid is None:
-            roots = query.root_workflows()
-            if len(roots) != 1:
-                raise ValueError(
-                    f"archive holds {len(roots)} root workflows; specify one"
-                )
-            wf = roots[0]
-        else:
-            wf = query.workflow_by_uuid(wf_uuid)
-            if wf is None:
-                raise ValueError(f"no workflow with uuid {wf_uuid!r}")
-        wf_id = wf.wf_id
-    else:
-        wf = query.workflow(wf_id)
-        if wf is None:
-            raise ValueError(f"no workflow with wf_id {wf_id}")
+    query = StampedeQuery.of(archive_or_query)
+    wf = query.resolve(wf_id, wf_uuid)
+    wf_id = wf.wf_id
 
     jobs = query.jobs(wf_id)
     instances = query.job_instances(wf_id)
@@ -123,18 +103,15 @@ def analyze(
         incomplete=incomplete,
         failed_jobs=[_failed_report(query, job, inst) for job, inst in failed_pairs],
     )
-    if recurse:
-        for sub in query.sub_workflows(wf_id):
-            sub_status = query.workflow_status(sub.wf_id)
-            if recurse_into_successful or sub_status != SUCCESS:
-                analysis.sub_analyses.append(
-                    analyze(
-                        query,
-                        wf_id=sub.wf_id,
-                        recurse=True,
-                        recurse_into_successful=recurse_into_successful,
-                    )
+    for sub in query.sub_workflows(wf_id):
+        if recurse_into_successful or query.workflow_status(sub.wf_id) != SUCCESS:
+            analysis.sub_analyses.append(
+                analyze(
+                    query,
+                    wf_id=sub.wf_id,
+                    recurse_into_successful=recurse_into_successful,
                 )
+            )
     return analysis
 
 
@@ -196,26 +173,31 @@ def render_analysis(analysis: WorkflowAnalysis, depth: int = 0) -> str:
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Command line: one analysis per selected run; exit 1 if any failed."""
+    from repro.core import front
+
     parser = argparse.ArgumentParser(
         prog="stampede-analyzer",
         description="Debug failed jobs in a Stampede archive.",
     )
-    parser.add_argument("connString", help="sqlite:///run.db, a shard directory or a glob")
-    parser.add_argument("--wf-uuid", help="workflow to analyze (defaults to the root)")
+    front.add_archive_argument(parser)
+    parser.add_argument("--wf-uuid", help="workflow to analyze (default: every root)")
     parser.add_argument(
         "--all",
         action="store_true",
         help="recurse into successful sub-workflows as well",
     )
     args = parser.parse_args(argv)
-    from repro.archive.shard import open_archive
 
-    archive = open_archive(args.connString)
-    analysis = analyze(
-        archive, wf_uuid=args.wf_uuid, recurse_into_successful=args.all
-    )
-    print(render_analysis(analysis))
-    return 0 if analysis.ok else 1
+    def report(archive) -> int:
+        analyses = [
+            analyze(archive, wf_id=wf.wf_id, recurse_into_successful=args.all)
+            for wf in front.selected_workflows(archive, args.wf_uuid)
+        ]
+        print("\n\n".join(render_analysis(analysis) for analysis in analyses))
+        return 0 if all(analysis.ok for analysis in analyses) else 1
+
+    return front.serve(args.connString, report)
 
 
 if __name__ == "__main__":  # pragma: no cover

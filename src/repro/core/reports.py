@@ -5,18 +5,10 @@ the summary block, ``breakdown.txt`` and both ``jobs.txt`` sections.
 """
 from __future__ import annotations
 
-import argparse
-import sys
-from typing import List, Optional
+from typing import List
 
-from repro.core.rollup import RollupCoverageError
-from repro.core.statistics import (
-    HostUsage,
-    TypeBreakdown,
-    WorkflowStatistics,
-    workflow_statistics,
-)
-from repro.query.api import JobInstanceDetail, StampedeQuery
+from repro.core.statistics import HostUsage, TypeBreakdown, WorkflowStatistics
+from repro.query.api import JobInstanceDetail
 from repro.util.text import render_table
 from repro.util.timeutil import format_duration
 
@@ -30,7 +22,6 @@ __all__ = [
     "render_gantt",
     "render_all",
     "write_report_files",
-    "main",
 ]
 
 
@@ -216,78 +207,3 @@ def render_all(stats: WorkflowStatistics) -> str:
         render_hosts(stats.hosts),
     ]
     return "\n".join(parts)
-
-
-def main(argv: Optional[list] = None) -> int:
-    """Command line: the full report document for one (or every) run.
-
-    Accepts the same archive specs as ``stampede-statistics``: a
-    connection string, a plain sqlite path, a shard directory, or a glob
-    of shard files — shard sets read through the federated query layer.
-    """
-    parser = argparse.ArgumentParser(
-        prog="stampede-reports",
-        description="Render the Tables I-IV report document from a "
-        "Stampede archive or shard set.",
-    )
-    parser.add_argument(
-        "connString",
-        help="sqlite:///run.db, a sqlite path, a shard directory, or a "
-        "glob like 'shards/*.db'",
-    )
-    parser.add_argument(
-        "--wf-uuid", help="workflow to report (defaults to the root)"
-    )
-    parser.add_argument(
-        "--all-roots",
-        action="store_true",
-        help="render one report per root workflow instead of just the first",
-    )
-    parser.add_argument(
-        "--no-descendants",
-        action="store_true",
-        help="exclude sub-workflows from aggregates",
-    )
-    parser.add_argument(
-        "-o",
-        "--output-dir",
-        help="also write summary.txt / breakdown.txt / jobs.txt / hosts.txt here",
-    )
-    args = parser.parse_args(argv)
-    from repro.archive.shard import open_archive
-
-    archive = open_archive(args.connString)
-    try:
-        if args.all_roots:
-            uuids = [w.wf_uuid for w in StampedeQuery(archive).root_workflows()]
-        else:
-            uuids = [args.wf_uuid]
-        first = True
-        for wf_uuid in uuids:
-            stats = workflow_statistics(
-                archive,
-                wf_uuid=wf_uuid,
-                include_descendants=not args.no_descendants,
-            )
-            if not first:
-                print()
-            print(render_all(stats))
-            first = False
-            if args.output_dir:
-                directory = (
-                    f"{args.output_dir}/{stats.wf_uuid}"
-                    if args.all_roots
-                    else args.output_dir
-                )
-                for path in write_report_files(stats, directory):
-                    print(f"wrote {path}", file=sys.stderr)
-    except RollupCoverageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    finally:
-        archive.close()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

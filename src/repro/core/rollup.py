@@ -891,6 +891,10 @@ def _diff_statistics(rolled: Any, scanned: Any, tolerance: float) -> List[str]:
 # -- CLI --------------------------------------------------------------------
 def main(argv: Optional[List[str]] = None) -> int:
     """``stampede-rollup``: rebuild / verify / inspect archive rollups."""
+    from pathlib import Path
+
+    from repro.core import front
+
     parser = argparse.ArgumentParser(
         prog="stampede-rollup",
         description="Maintain and verify the archive's materialized rollups.",
@@ -901,49 +905,44 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="rebuild: derive rollups by replaying the base rows; verify: assert "
         "rollup/scan parity; status: print commit sequence and coverage",
     )
-    parser.add_argument(
-        "connString",
-        help="archive to operate on (connection string, sqlite path, or "
-        "shard directory — every shard and the long-term tier)",
-    )
+    front.add_archive_argument(parser)
     args = parser.parse_args(argv)
-    from pathlib import Path
 
-    from repro.archive.shard import open_archive
+    def run(target) -> int:
+        archives = getattr(target, "sources", [target])
+        # a shard directory's last source is its long-term tier
+        tier = len(archives) - 1 if Path(args.connString).is_dir() else None
+        if args.command == "rebuild":
+            total = sum(rebuild_rollups(archive) for archive in archives)
+            print(f"rebuilt rollups for {total} workflow(s)")
+            return 0
+        if args.command == "verify":
+            failures = 0
+            for archive in archives:
+                for issue in verify_rollups(archive):
+                    print(f"MISMATCH {issue}")
+                    failures += 1
+            if failures:
+                print(f"{failures} mismatch(es)")
+                return 1
+            print("rollups match the full-scan statistics")
+            return 0
+        # status
+        for index, archive in enumerate(archives):
+            seq = commit_seq(archive)
+            ts = last_commit_ts(archive)
+            lag = time.time() - ts if ts is not None else None
+            covered = archive.count(RollupWorkflowRow)
+            workflows = archive.count(WorkflowRow)
+            name = "long-term tier" if index == tier else f"source {index}"
+            print(
+                f"{name}: commit_seq={seq} "
+                f"coverage={covered}/{workflows} workflows "
+                + (f"lag={lag:.1f}s" if lag is not None else "lag=n/a")
+            )
+        return 0
 
-    target = open_archive(args.connString)
-    archives = getattr(target, "sources", [target])
-    # a shard directory's last source is its long-term tier
-    tier = len(archives) - 1 if Path(args.connString).is_dir() else None
-    if args.command == "rebuild":
-        total = sum(rebuild_rollups(archive) for archive in archives)
-        print(f"rebuilt rollups for {total} workflow(s)")
-        return 0
-    if args.command == "verify":
-        failures = 0
-        for archive in archives:
-            for issue in verify_rollups(archive):
-                print(f"MISMATCH {issue}")
-                failures += 1
-        if failures:
-            print(f"{failures} mismatch(es)")
-            return 1
-        print("rollups match the full-scan statistics")
-        return 0
-    # status
-    for index, archive in enumerate(archives):
-        seq = commit_seq(archive)
-        ts = last_commit_ts(archive)
-        lag = time.time() - ts if ts is not None else None
-        covered = archive.count(RollupWorkflowRow)
-        workflows = archive.count(WorkflowRow)
-        name = "long-term tier" if index == tier else f"source {index}"
-        print(
-            f"{name}: commit_seq={seq} "
-            f"coverage={covered}/{workflows} workflows "
-            + (f"lag={lag:.1f}s" if lag is not None else "lag=n/a")
-        )
-    return 0
+    return front.serve(args.connString, run)
 
 
 if __name__ == "__main__":  # pragma: no cover

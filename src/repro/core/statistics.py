@@ -18,6 +18,7 @@ standard query interface, as the reference rollups are verified against.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -162,30 +163,6 @@ def host_breakdown(
     return sorted(usage.values(), key=lambda u: u.hostname)
 
 
-def _resolve(archive_or_query, wf_id: Optional[int], wf_uuid: Optional[str]):
-    """``(query, workflow)`` of a statistics call: the workflow ``wf_id``
-    names, else ``wf_uuid``, else the archive's only root."""
-    query = (
-        archive_or_query
-        if isinstance(archive_or_query, StampedeQuery)
-        else StampedeQuery(archive_or_query)
-    )
-    if wf_id is not None:
-        wf = query.workflow(wf_id)
-        if wf is None:
-            raise ValueError(f"no workflow with wf_id {wf_id}")
-    elif wf_uuid is not None:
-        wf = query.workflow_by_uuid(wf_uuid)
-        if wf is None:
-            raise ValueError(f"no workflow with uuid {wf_uuid!r}")
-    else:
-        roots = query.root_workflows()
-        if len(roots) != 1:
-            raise ValueError(f"archive holds {len(roots)} root workflows; specify wf_id")
-        wf = roots[0]
-    return query, wf
-
-
 def workflow_statistics(
     archive_or_query,
     wf_id: Optional[int] = None,
@@ -205,7 +182,8 @@ def workflow_statistics(
     dashboard summary does not render them, and they are the one
     per-instance query).
     """
-    query, wf = _resolve(archive_or_query, wf_id, wf_uuid)
+    query = StampedeQuery.of(archive_or_query)
+    wf = query.resolve(wf_id, wf_uuid)
     archive = query.archive
     wf_id = wf.wf_id
     descendants = query.descendant_workflows(wf_id) if include_descendants else []
@@ -307,7 +285,8 @@ def scan_statistics(
     :func:`~repro.core.rollup.verify_rollups` checks the served
     statistics against, not a serving path.
     """
-    query, wf = _resolve(archive_or_query, wf_id, wf_uuid)
+    query = StampedeQuery.of(archive_or_query)
+    wf = query.resolve(wf_id, wf_uuid)
     wf_id = wf.wf_id
     return WorkflowStatistics(
         wf_id=wf_id,
@@ -324,21 +303,16 @@ def scan_statistics(
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Command line: print the Table I / II / III-IV reports for a run."""
-    from repro.core.reports import render_breakdown, render_jobs, render_summary
+    """Command line: the Tables I-IV report document for each selected run."""
+    from repro.core import front
+    from repro.core.reports import render_all, write_report_files
 
     parser = argparse.ArgumentParser(
         prog="stampede-statistics",
         description="Workflow and job statistics from a Stampede archive.",
     )
-    parser.add_argument(
-        "connString",
-        help="archive to read: a connection string (sqlite:///run.db), a "
-        "plain sqlite path, a shard directory (shards.json inside), or a "
-        "glob of shard files ('shards/*.db') — shard sets are queried "
-        "through the federated layer transparently",
-    )
-    parser.add_argument("--wf-uuid", help="workflow to report (defaults to the root)")
+    front.add_archive_argument(parser)
+    parser.add_argument("--wf-uuid", help="workflow to report (default: every root)")
     parser.add_argument(
         "--no-descendants",
         action="store_true",
@@ -346,32 +320,33 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "-o", "--output-dir",
-        help="also write summary.txt / breakdown.txt / jobs.txt / hosts.txt here",
+        help="also write summary.txt / breakdown.txt / jobs.txt / hosts.txt "
+        "here, into one <wf_uuid>/ subdirectory per report when there are several",
     )
     args = parser.parse_args(argv)
-    from repro.archive.shard import open_archive
 
-    archive = open_archive(args.connString)
-    try:
-        stats = workflow_statistics(
-            archive,
-            wf_uuid=args.wf_uuid,
-            include_descendants=not args.no_descendants,
-        )
-    except RollupCoverageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    print(render_summary(stats))
-    print()
-    print(render_breakdown(stats.breakdown))
-    print()
-    print(render_jobs(stats.jobs))
-    if args.output_dir:
-        from repro.core.reports import write_report_files
+    def report(archive) -> int:
+        workflows = front.selected_workflows(archive, args.wf_uuid)
+        for index, wf in enumerate(workflows):
+            stats = workflow_statistics(
+                archive,
+                wf_id=wf.wf_id,
+                include_descendants=not args.no_descendants,
+            )
+            if index:
+                print()
+            print(render_all(stats))
+            if args.output_dir:
+                directory = (
+                    args.output_dir
+                    if len(workflows) == 1
+                    else os.path.join(args.output_dir, wf.wf_uuid)
+                )
+                for path in write_report_files(stats, directory):
+                    print(f"wrote {path}")
+        return 0
 
-        for path in write_report_files(stats, args.output_dir):
-            print(f"wrote {path}")
-    return 0
+    return front.serve(args.connString, report)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -672,8 +672,8 @@ def main(argv: Optional[list] = None) -> int:
         "--tier-finished",
         action="store_true",
         help="with --shard-dir: after the load, move finished root "
-        "workflows from the hot shards into the append-only long-term "
-        "store under DIR/longterm/",
+        "workflows from the hot shards into the long-term tier, "
+        "DIR/longterm/longterm.db: one more sqlite archive",
     )
     parser.add_argument(
         "--metrics-port",

@@ -25,7 +25,17 @@ from repro.model.entities import (
 from repro.model.states import JobState, WorkflowState
 from repro.schema.stampede import SUCCESS
 
-__all__ = ["JobInstanceDetail", "WorkflowSummaryCounts", "StampedeQuery"]
+__all__ = [
+    "JobInstanceDetail",
+    "WorkflowSummaryCounts",
+    "StampedeQuery",
+    "UnknownWorkflowError",
+]
+
+
+class UnknownWorkflowError(ValueError):
+    """A read named no workflow of the archive: an unknown id or uuid, or
+    none at all where the archive does not hold exactly one root."""
 
 
 @dataclass
@@ -72,6 +82,11 @@ class StampedeQuery:
     def __init__(self, archive: StampedeArchive):
         self.archive = archive
 
+    @classmethod
+    def of(cls, source) -> "StampedeQuery":
+        """``source`` if it is a query already, else a query over it."""
+        return source if isinstance(source, cls) else cls(source)
+
     # -- workflows ------------------------------------------------------------
     def workflows(self) -> List[WorkflowRow]:
         return self.archive.query(WorkflowRow).order_by("wf_id").all()
@@ -84,6 +99,26 @@ class StampedeQuery:
 
     def root_workflows(self) -> List[WorkflowRow]:
         return [w for w in self.workflows() if w.parent_wf_id is None]
+
+    def resolve(
+        self, wf_id: Optional[int] = None, wf_uuid: Optional[str] = None
+    ) -> WorkflowRow:
+        """The workflow ``wf_id`` names, else ``wf_uuid``, else the
+        archive's only root; :class:`UnknownWorkflowError` otherwise."""
+        if wf_id is not None:
+            wf, named = self.workflow(wf_id), f"wf_id {wf_id}"
+        elif wf_uuid is not None:
+            wf, named = self.workflow_by_uuid(wf_uuid), f"uuid {wf_uuid!r}"
+        else:
+            roots = self.root_workflows()
+            if len(roots) != 1:
+                raise UnknownWorkflowError(
+                    f"archive holds {len(roots)} root workflows; name one by wf_uuid"
+                )
+            return roots[0]
+        if wf is None:
+            raise UnknownWorkflowError(f"no workflow with {named}")
+        return wf
 
     def sub_workflows(self, wf_id: int) -> List[WorkflowRow]:
         return (

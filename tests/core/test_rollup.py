@@ -445,7 +445,6 @@ class TestMissingCoverage:
 
         from repro.core.dashboard import Dashboard
         from repro.core.live import LiveFeed
-        from repro.core.reports import main as reports_main
         from repro.core.statistics import main as statistics_main
 
         conn = f"sqlite:///{tmp_path / 'run.db'}"
@@ -460,10 +459,9 @@ class TestMissingCoverage:
             LiveFeed(archive).snapshot(1)
         assert str(from_feed.value) == message
         capsys.readouterr()
-        for cli in (statistics_main, reports_main):
-            assert cli([conn]) == 1
-            err = capsys.readouterr().err
-            assert err == message + "\n"  # one line, no traceback
+        assert statistics_main([conn]) == 1
+        err = capsys.readouterr().err
+        assert err == message + "\n"  # one line, no traceback
         with Dashboard(archive) as dash:
             for path in ("/api/workflows", "/api/workflow/1"):
                 with pytest.raises(urllib.error.HTTPError) as http:
@@ -479,9 +477,8 @@ class TestMissingCoverage:
         assert snap["state"] == "failed"
         assert snap["jobs_failed"] == scanned.counts.jobs_failed == 1
         assert snap["tasks_succeeded"] == scanned.counts.tasks_succeeded
-        for cli in (statistics_main, reports_main):
-            assert cli([conn]) == 0
-            assert "Workflow wall time" in capsys.readouterr().out
+        assert statistics_main([conn]) == 0
+        assert "Workflow wall time" in capsys.readouterr().out
         with Dashboard(archive) as dash:
             with urllib.request.urlopen(dash.url + "/api/workflows", timeout=10) as r:
                 (listed,) = json.loads(r.read())["workflows"]

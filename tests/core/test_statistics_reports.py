@@ -165,3 +165,74 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Workflow wall time" in out
         assert "tr_a" in out
+
+
+class TestReadFront:
+    """The read tools share one front: no ``--wf-uuid`` reports every
+    root, and a data error is one stderr line and exit 1."""
+
+    def test_every_root_without_wf_uuid(self, tmp_path, capsys):
+        from repro.archive.shard import open_archive
+        from repro.core.analyzer import main as analyzer_main
+        from repro.core.statistics import main
+
+        from tests.archive.test_shard import ROOT_UUIDS, load_sharded_and_single
+
+        shards, _ = load_sharded_and_single(tmp_path)
+        archive = open_archive(shards)
+        uuids = [wf.wf_uuid for wf in StampedeQuery(archive).root_workflows()]
+        archive.close()
+        assert sorted(uuids) == sorted(ROOT_UUIDS)
+        capsys.readouterr()
+
+        assert main([shards]) == 0
+        every = capsys.readouterr()
+        assert every.err == ""
+        assert every.out.count("# Workflow ") == len(uuids)
+        one_by_one = []
+        for uuid in uuids:
+            assert main([shards, "--wf-uuid", uuid]) == 0
+            one_by_one.append(capsys.readouterr().out)
+        assert every.out == "\n".join(one_by_one)
+
+        out_dir = tmp_path / "reports"
+        assert main([shards, "-o", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(uuids)
+        for uuid in uuids:
+            assert (out_dir / uuid / "summary.txt").exists()
+        capsys.readouterr()
+
+        assert analyzer_main([shards]) == 1  # some roots have a failed job
+        analyzed = capsys.readouterr()
+        assert analyzed.err == ""
+        assert analyzed.out.count("************** Workflow ") == len(uuids)
+
+    def test_data_errors_are_one_line_and_create_nothing(self, tmp_path, capsys):
+        from repro.core.analyzer import main as analyzer_main
+        from repro.core.rollup import main as rollup_main
+        from repro.core.statistics import main
+        from repro.loader.nl_load import main as nl_main
+        from repro.netlogger.stream import write_events
+
+        def one_line(rc, naming):
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.count("\n") == 1 and naming in err, err
+
+        missing = tmp_path / "missing.db"
+        one_line(main([str(missing)]), str(missing))
+        one_line(analyzer_main([f"sqlite:///{missing}"]), str(missing))
+        one_line(rollup_main(["status", str(missing)]), str(missing))
+        assert not missing.exists()
+
+        empty_glob = str(tmp_path / "shard-*.db")
+        one_line(main([empty_glob]), empty_glob)
+        one_line(analyzer_main([empty_glob]), empty_glob)
+        one_line(rollup_main(["verify", empty_glob]), empty_glob)
+
+        bp, db = tmp_path / "run.bp", f"sqlite:///{tmp_path / 'run.db'}"
+        write_events(bp, diamond_events())
+        nl_main([str(bp), "stampede_loader", f"connString={db}"])
+        capsys.readouterr()
+        one_line(main([db, "--wf-uuid", "nope"]), "'nope'")
+        one_line(analyzer_main([db, "--wf-uuid", "nope"]), "'nope'")
